@@ -103,12 +103,11 @@ func (p *RankProfiler) Before(call trace.CallID, t time.Duration) {
 	}
 }
 
-// After feeds the completed call to the predictor and executes any shutdown.
+// After feeds the completed call through the shared mechanism step. The
+// overhead model is zero: the live layer pays its software costs in real
+// time, so none are modelled on top.
 func (p *RankProfiler) After(call trace.CallID, start, end time.Duration) {
-	act := p.pred.OnCall(predictor.EventID(call), start, end)
-	if act.Shutdown {
-		p.ctrl.Shutdown(end, act.PredictedIdle)
-	}
+	predictor.Step(p.pred, p.ctrl, predictor.OverheadModel{}, predictor.EventID(call), start, end)
 }
 
 // Report is the aggregated outcome of a profiled run.

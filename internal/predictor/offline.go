@@ -3,7 +3,6 @@ package predictor
 import (
 	"time"
 
-	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/trace"
 )
@@ -49,11 +48,10 @@ func RunOfflineOverheads(src trace.Source, cfg Config, ov OverheadModel) (*Offli
 	return RunOfflineNamed(DefaultName, src, cfg, ov)
 }
 
-// RunOfflineNamed is RunOfflineOverheads for any registered predictor:
-// trace-aware predictors (oracle, offline) are primed with each rank's op
-// stream before it is replayed (only they force a rank to be materialized —
-// every other predictor streams one op at a time). Predictors that never set
-// Action.PPAInvoked are charged only the interception overhead per call.
+// RunOfflineNamed is RunOfflineOverheads for any registered predictor, each
+// rank built by NewForRank and driven call by call through Step. Predictors
+// that never set Action.PPAInvoked are charged only the interception
+// overhead per call.
 func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel) (*OfflineResult, error) {
 	m := src.Meta()
 	out := &OfflineResult{
@@ -61,16 +59,9 @@ func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel
 		Acct:  make([]power.Accounting, m.NP),
 	}
 	for r := 0; r < m.NP; r++ {
-		p, err := NewNamed(name, cfg)
+		p, err := NewForRank(name, cfg, src, r)
 		if err != nil {
 			return nil, err
-		}
-		if IsTraceAware(p) {
-			ops, err := trace.RankOps(src, r)
-			if err != nil {
-				return nil, err
-			}
-			Prime(p, ops)
 		}
 		ctrl := power.NewController(cfg.Treact)
 		var t time.Duration
@@ -84,14 +75,10 @@ func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel
 			case trace.OpCompute:
 				t += op.Duration
 			case trace.OpCall:
-				t += ov.Interception
-				t = ctrl.Acquire(t)
-				act := p.OnCall(ngram.EventID(op.Call), t, t)
-				st := p.Stats().Detector
-				t += ov.CallCost(act.PPAInvoked, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
-				if act.Shutdown {
-					ctrl.Shutdown(t, act.PredictedIdle)
-				}
+				// The link is acquired at call entry: with no network, that
+				// is the only point a demand wake can be paid.
+				t = ctrl.Acquire(t + ov.Interception)
+				t = Step(p, ctrl, ov, EventID(op.Call), t, t)
 			}
 		}
 		if err := cur.Err(); err != nil {
@@ -136,16 +123,9 @@ func MeasureOverheadsNamed(name string, src trace.Source, cfg Config) (OverheadR
 	var invokedTime time.Duration
 	m := src.Meta()
 	for r := 0; r < m.NP; r++ {
-		p, err := NewNamed(name, cfg)
+		p, err := NewForRank(name, cfg, src, r)
 		if err != nil {
 			return rep, err
-		}
-		if IsTraceAware(p) {
-			ops, err := trace.RankOps(src, r)
-			if err != nil {
-				return rep, err
-			}
-			Prime(p, ops)
 		}
 		var t time.Duration
 		cur := src.Open(r)
@@ -159,7 +139,7 @@ func MeasureOverheadsNamed(name string, src trace.Source, cfg Config) (OverheadR
 				t += op.Duration
 			case trace.OpCall:
 				start := time.Now()
-				act := p.OnCall(ngram.EventID(op.Call), t, t)
+				act := p.OnCall(EventID(op.Call), t, t)
 				el := time.Since(start)
 				rep.Calls++
 				rep.Total += el

@@ -1,6 +1,10 @@
 package predictor
 
-import "time"
+import (
+	"time"
+
+	"ibpower/internal/power"
+)
 
 // OverheadModel charges the software costs of the mechanism (the paper's
 // Table IV): every intercepted MPI call pays the interception cost (~1 µs,
@@ -33,15 +37,25 @@ func (m OverheadModel) PPACost(patternSize, listSize int) time.Duration {
 	return m.PPABase + time.Duration(patternSize)*m.PPAPerGram + time.Duration(listSize)*m.PPAPerListEntry
 }
 
-// CallCost returns the modelled cost of one intercepted call given whether
-// the full PPA ran on it, using the detector's current state.
-func (m OverheadModel) CallCost(ppaInvoked bool, patternSize, listSize int) time.Duration {
-	c := m.Interception
-	if ppaInvoked {
-		if patternSize == 0 {
-			patternSize = 2
-		}
-		c += m.PPACost(patternSize, listSize)
+// Step is the mechanism's per-call loop, shared by every driver (the
+// offline runner, the replay engine and the live PMPI layer): the predictor
+// observes the call occupying [start, end]; when the full PPA ran, the call
+// is stretched by its Table IV cost; a shutdown action then programs the
+// link's wake timer at the charged end, which Step returns. Interception and
+// link acquisition stay with the driver, which knows when the call entered
+// and when it needed the link.
+//
+// The PPA cost is charged at max(MaxPatternFrozen, 2): detection only ever
+// freezes patterns of two or more grams, so the max only lifts the
+// never-detected size 0 to the smallest pattern.
+func Step(p Predictor, ctrl *power.Controller, ov OverheadModel, id EventID, start, end time.Duration) time.Duration {
+	act := p.OnCall(id, start, end)
+	if act.PPAInvoked {
+		st := p.Stats().Detector
+		end += ov.PPACost(max(st.MaxPatternFrozen, 2), st.PatternListSize)
 	}
-	return c
+	if act.Shutdown {
+		ctrl.Shutdown(end, act.PredictedIdle)
+	}
+	return end
 }

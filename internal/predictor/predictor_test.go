@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/trace"
 )
@@ -223,12 +224,63 @@ func TestOverheadModel(t *testing.T) {
 	if c8 <= c2 {
 		t.Error("PPA cost must grow with pattern size")
 	}
-	// CallCost without PPA is just the interception.
-	if m.CallCost(false, 4, 10) != m.Interception {
-		t.Error("CallCost(false) must be interception only")
+}
+
+// stubPred returns a fixed action and detector state, counting Stats reads.
+type stubPred struct {
+	act   Action
+	det   ngram.DetectorStats
+	reads int
+}
+
+func (p *stubPred) OnCall(EventID, time.Duration, time.Duration) Action { return p.act }
+func (p *stubPred) Flush()                                              {}
+func (p *stubPred) Stats() Stats                                        { p.reads++; return Stats{Detector: p.det} }
+
+// TestStep pins the shared mechanism step: the PPA charge (a never-detected
+// pattern is charged as size 2), no charge and no Stats read without the
+// PPA, and the shutdown programmed at the charged end.
+func TestStep(t *testing.T) {
+	const end = 100 * us
+	def, slowHash := DefaultOverheads(), DefaultOverheads()
+	slowHash.PPAPerListEntry = us
+	ppa, shut := Action{PPAInvoked: true}, Action{Shutdown: true, PredictedIdle: 500 * us}
+	both := Action{Shutdown: true, PredictedIdle: 500 * us, PPAInvoked: true}
+	cases := []struct {
+		name         string
+		ov           OverheadModel
+		act          Action
+		frozen, list int
+		want         time.Duration
+	}{
+		{"no-ppa", def, Action{}, 4, 10, end},
+		{"ppa-undetected", def, ppa, 0, 0, end + def.PPACost(2, 0)},
+		{"ppa-frozen", slowHash, ppa, 8, 3, end + slowHash.PPACost(8, 3)},
+		{"shutdown-no-ppa", def, shut, 4, 0, end},
+		{"shutdown-after-ppa", def, both, 3, 0, end + def.PPACost(3, 0)},
+		{"live-layer-zero-model", OverheadModel{}, both, 3, 0, end},
 	}
-	if m.CallCost(true, 0, 0) <= m.Interception {
-		t.Error("CallCost(true) must include PPA cost")
+	for _, c := range cases {
+		p := &stubPred{act: c.act, det: ngram.DetectorStats{MaxPatternFrozen: c.frozen, PatternListSize: c.list}}
+		ctrl := power.NewController(0)
+		if got := Step(p, ctrl, c.ov, 1, end-5*us, end); got != c.want {
+			t.Errorf("%s: Step = %v, want %v", c.name, got, c.want)
+		}
+		if !c.act.PPAInvoked && p.reads != 0 {
+			t.Errorf("%s: Stats read %d times without a PPA invocation", c.name, p.reads)
+		}
+		wantShut := 0
+		if c.act.Shutdown {
+			wantShut = 1
+		}
+		if ctrl.Shutdowns != wantShut {
+			t.Errorf("%s: shutdowns = %d, want %d", c.name, ctrl.Shutdowns, wantShut)
+		}
+		// Full power lasts exactly until the charged end: the shutdown
+		// starts there, not at the uncharged call end.
+		if ctrl.Finish(c.want); ctrl.Accounting().Full != c.want {
+			t.Errorf("%s: full-power time %v, want %v", c.name, ctrl.Accounting().Full, c.want)
+		}
 	}
 }
 

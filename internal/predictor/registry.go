@@ -2,11 +2,9 @@ package predictor
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
+	"ibpower/internal/registry"
 	"ibpower/internal/trace"
 )
 
@@ -32,10 +30,10 @@ type Predictor interface {
 
 // TraceAware is implemented by predictors that need the rank's full op
 // stream before the run begins — the clairvoyant oracle and the
-// offline-profile predictor. The replay engine and the offline runners prime
-// them with the rank's trace; the live PMPI layer has no trace, so there
-// they never predict (a deliberate property: trace-trained predictors cannot
-// be deployed online, which is the PPA's selling point).
+// offline-profile predictor. NewForRank primes them with the rank's trace;
+// the live PMPI layer has no trace, so there they never predict (a
+// deliberate property: trace-trained predictors cannot be deployed online,
+// which is the PPA's selling point).
 type TraceAware interface {
 	Predictor
 	// Prime hands the predictor the rank's complete op stream. It is called
@@ -51,78 +49,28 @@ const DefaultName = "ngram"
 // configuration; it must validate cfg itself.
 type Factory func(cfg Config) (Predictor, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
+var predictors = registry.New[Factory]("predictor", "predictor", DefaultName)
 
 // Register adds a predictor constructor under name. It panics on an empty
-// name, a nil factory, or a duplicate registration — registry collisions are
-// programmer errors and must fail loudly at init time, not resolve silently
-// to whichever init ran last.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("predictor: Register with empty name")
-	}
-	if f == nil {
-		panic("predictor: Register with nil factory for " + name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("predictor: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
-
-// Registered reports whether name resolves in the registry; the empty string
-// resolves to DefaultName.
-func Registered(name string) bool {
-	if name == "" {
-		name = DefaultName
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
+// name, a nil factory, or a duplicate registration.
+func Register(name string, f Factory) { predictors.Register(name, f) }
 
 // Names returns the registered predictor names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return predictors.Names() }
 
 // CheckRegistered returns a descriptive error naming the whole registry
 // when name does not resolve (the empty name resolves to DefaultName), so a
 // typo'd -predictor flag tells the user what would have worked. It is the
 // single validation every layer (replay config, pmpi layer, harness, CLI)
 // shares.
-func CheckRegistered(name string) error {
-	if Registered(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown predictor %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
+func CheckRegistered(name string) error { return predictors.Check(name) }
 
 // NewNamed builds a per-rank instance of the named predictor; the empty name
 // selects DefaultName.
 func NewNamed(name string, cfg Config) (Predictor, error) {
-	if name == "" {
-		name = DefaultName
-	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("predictor: %w", CheckRegistered(name))
+	f, err := predictors.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg)
 }
@@ -137,20 +85,23 @@ func MustNewNamed(name string, cfg Config) Predictor {
 	return p
 }
 
-// Prime hands ops to p if it is trace-aware; other predictors are returned
-// untouched. Harness code calls this once per rank before replaying.
-func Prime(p Predictor, ops []trace.Op) {
+// NewForRank builds rank r's instance of the named predictor for a run over
+// src. Trace-aware predictors are primed with the rank's op stream here,
+// the only place a rank is materialized for lookahead; every other
+// predictor streams at O(window).
+func NewForRank(name string, cfg Config, src trace.Source, r int) (Predictor, error) {
+	p, err := NewNamed(name, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if ta, ok := p.(TraceAware); ok {
+		ops, err := trace.RankOps(src, r)
+		if err != nil {
+			return nil, fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
+		}
 		ta.Prime(ops)
 	}
-}
-
-// IsTraceAware reports whether p needs Prime. Streaming consumers check it
-// before materializing a rank's ops: only trace-aware predictors justify
-// paying O(rank) memory for lookahead, everything else replays at O(window).
-func IsTraceAware(p Predictor) bool {
-	_, ok := p.(TraceAware)
-	return ok
+	return p, nil
 }
 
 func init() {

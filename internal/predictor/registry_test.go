@@ -16,7 +16,7 @@ func validCfg() Config {
 // presets themselves must all be present on top of the generic contract.
 func TestRegistryContract(t *testing.T) {
 	for _, want := range []string{"ewma", "lastvalue", "ngram", "offline", "oracle", "static-gt"} {
-		if !Registered(want) {
+		if CheckRegistered(want) != nil {
 			t.Errorf("%q not registered (have %v)", want, Names())
 		}
 	}
@@ -165,8 +165,10 @@ func buildTrainable(iters int) *trace.Trace {
 
 func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 	tr := buildTrainable(20)
-	p := MustNewNamed("oracle", validCfg())
-	Prime(p, tr.Ranks[0])
+	p, err := NewForRank("oracle", validCfg(), tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var now time.Duration
 	var raws []time.Duration
 	for _, op := range tr.Ranks[0] {
@@ -195,8 +197,10 @@ func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 
 func TestProfilePredictsPerCallTypeMeans(t *testing.T) {
 	tr := buildTrainable(20)
-	p := MustNewNamed("offline", validCfg())
-	Prime(p, tr.Ranks[0])
+	p, err := NewForRank("offline", validCfg(), tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var now time.Duration
 	seen := map[EventID]time.Duration{}
 	for _, op := range tr.Ranks[0] {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ibpower/internal/network"
-	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/predictor"
 	"ibpower/internal/trace"
@@ -16,11 +15,11 @@ import (
 // on a fabric terminal and gives it a dense global index so several jobs can
 // share one timeline.
 type rankState struct {
-	r    int // job-local rank (index into the job's trace)
-	g    int // global rank index across all jobs (index into engine.rk)
-	base int // global index of the job's rank 0
-	np   int // the job's communicator size
-	term int // fabric terminal hosting the rank
+	r    int          // job-local rank (index into the job's trace)
+	g    int          // global rank index across all jobs (index into engine.rk)
+	base int          // global index of the job's rank 0
+	np   int          // the job's communicator size
+	term int          // fabric terminal hosting the rank
 	cur  trace.Cursor // the rank's op stream; in-memory, generated, or on-disk
 	nops int          // ops consumed so far (error reporting)
 	clk  time.Duration
@@ -181,7 +180,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 // Each rank pulls ops through its own cursor, opened here — re-admitting the
 // same source (a churn retry) replays from the first op again. Trace-aware
 // predictors are the one consumer that still needs the whole rank stream up
-// front (the oracle's lookahead); only they pay a materialization.
+// front (the oracle's lookahead); predictor.NewForRank materializes it.
 func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) (*jobState, error) {
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
@@ -192,16 +191,9 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 			term: terms[r], cur: src.Open(r), clk: start, jb: js,
 		}
 		if pw.Enabled {
-			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
+			p, err := predictor.NewForRank(pw.PredictorName, pw.Predictor, src, r)
 			if err != nil {
-				return nil, err
-			}
-			if predictor.IsTraceAware(p) {
-				ops, err := trace.RankOps(src, r)
-				if err != nil {
-					return nil, fmt.Errorf("replay: %s rank %d: %w", m.App, r, err)
-				}
-				predictor.Prime(p, ops)
+				return nil, fmt.Errorf("replay: %w", err)
 			}
 			rs.pred = p
 			rs.ctrl = power.NewControllerAt(pw.Predictor.Treact, start)
@@ -363,23 +355,15 @@ func (e *engine) stepMicro(rs *rankState) bool {
 	return true
 }
 
-// finishCall closes the current MPI call: the predictor observes it and may
-// direct the link power controller to shut lanes down for the predicted
-// idle interval (Algorithm 3).
+// finishCall closes the current MPI call through the shared mechanism step
+// (predictor.Step). The engine's link acquisition is the transfer itself
+// (resolve), so a call with no transfers never wakes the link.
 func (e *engine) finishCall(rs *rankState) {
 	rs.inCall = false
-	op := rs.op
 	if rs.pred == nil {
 		return
 	}
-	act := rs.pred.OnCall(ngram.EventID(op.Call), rs.callStart, rs.clk)
-	if act.PPAInvoked {
-		st := rs.pred.Stats().Detector
-		rs.clk += rs.jb.pw.Overheads.PPACost(max(st.MaxPatternFrozen, 2), st.PatternListSize)
-	}
-	if act.Shutdown {
-		rs.ctrl.Shutdown(rs.clk, act.PredictedIdle)
-	}
+	rs.clk = predictor.Step(rs.pred, rs.ctrl, rs.jb.pw.Overheads, predictor.EventID(rs.op.Call), rs.callStart, rs.clk)
 	if e.tele != nil {
 		st := rs.pred.Stats()
 		// Baseline predictors report emitted predictions; the n-gram
