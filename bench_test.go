@@ -414,7 +414,7 @@ func BenchmarkDragonflyTransfer(b *testing.B) { benchio.BenchDragonflyTransfer(b
 func BenchmarkRouteCrossLeaf(b *testing.B) { benchio.BenchRouteCrossLeaf(b) }
 
 // BenchmarkBigFabricRoutes reports routes/s over the 8000-terminal xgft3-big
-// preset through the bounded route cache (steady-state clock eviction).
+// preset through direct RouteIDsInto, the routing transfers take.
 func BenchmarkBigFabricRoutes(b *testing.B) { benchio.BenchBigFabricRoutes(b) }
 
 // BenchmarkBigFabricReplay reports replay calls/s with ranks on the
@@ -438,7 +438,7 @@ func BenchmarkMultijob(b *testing.B) { benchio.BenchMultijob(b) }
 func BenchmarkScenarioChurn(b *testing.B) { benchio.BenchScenarioChurn(b) }
 
 // BenchmarkChurnWithFaults times the degraded-routing transfer path: every
-// transfer detours around a failed cable (cache bypass + RouteIDsAvoiding),
+// transfer detours around a failed cable (RouteDraws + RouteIDsAvoiding),
 // which must stay at 0 allocs/op in steady state.
 func BenchmarkChurnWithFaults(b *testing.B) { benchio.BenchChurnWithFaults(b) }
 

@@ -130,7 +130,7 @@ type (
 	ReplayResult = replay.Result
 	// Fabric is the pluggable interconnect abstraction the network model
 	// times transfers over (terminals, a flat LinkID-indexed link table,
-	// routing with an explicit RNG-draw contract for the route cache).
+	// routing with an explicit RNG-draw contract for fault-aware detours).
 	Fabric = topology.Fabric
 	// LinkID is a compact directed-link index into a Fabric's link table;
 	// Fabric paths and per-link state are keyed by it.

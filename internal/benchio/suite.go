@@ -188,7 +188,7 @@ func BenchMultijob(b *testing.B) {
 			b.Fatal(err)
 		}
 		calls += float64(tr.NumCalls())
-		jobs = append(jobs, replay.Job{Trace: tr, Terminals: terms[i], Power: &pw})
+		jobs = append(jobs, replay.Job{Source: tr, Terminals: terms[i], Power: &pw})
 	}
 	cfg := replay.DefaultConfig()
 	b.ReportAllocs()
@@ -254,7 +254,7 @@ func BenchScenarioChurn(b *testing.B) {
 // paper XGFT with one switch-to-switch cable down, so every transfer takes
 // the fault-aware branch — a RouteDraws into scratch (identical RNG
 // consumption to the healthy path) plus a RouteIDsAvoiding detour — instead
-// of the route cache. Steady state must allocate nothing, so long faulty
+// of direct RouteIDsInto. Steady state must allocate nothing, so long faulty
 // intervals cost only the detour arithmetic, not GC churn.
 func BenchChurnWithFaults(b *testing.B) {
 	fabric := topology.Paper()
@@ -303,9 +303,9 @@ func BenchNetworkTransfer(b *testing.B) {
 }
 
 // BenchDragonflyTransfer times transfers over the dragonfly preset: the
-// generic Fabric routing path (interface dispatch + draw-keyed route cache)
-// rather than the paper XGFT's. Inter-group endpoints keep the Valiant
-// intermediate-group draw on every transfer.
+// generic Fabric routing path (interface dispatch + direct RouteIDsInto into
+// the network's scratch path) rather than the paper XGFT's. Inter-group
+// endpoints keep the Valiant intermediate-group draw on every transfer.
 func BenchDragonflyTransfer(b *testing.B) {
 	fabric, err := topology.Named("dragonfly")
 	if err != nil {
@@ -334,21 +334,21 @@ func BenchRouteCrossLeaf(b *testing.B) {
 }
 
 // BenchBigFabricRoutes measures supercomputer-scale routing throughput: random
-// pairs over the 8000-terminal xgft3-big preset through the bounded route
-// cache, with live RNG draws (two per cross-tree route). The working set far
-// exceeds one cache shard, so the number includes steady-state clock eviction.
+// pairs over the 8000-terminal xgft3-big preset through direct RouteIDsInto
+// into a reused scratch path — the routing every fault-free transfer takes —
+// with live RNG draws (two per cross-tree route).
 func BenchBigFabricRoutes(b *testing.B) {
 	fabric, err := topology.Named("xgft3-big")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := topology.NewRouteCache(fabric)
 	rng := rand.New(rand.NewSource(1))
 	n := fabric.NumTerminals()
+	path := make([]topology.LinkID, 0, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cache.Route(i%n, (i*7919+13)%n, rng)
+		path = fabric.RouteIDsInto(path[:0], i%n, (i*7919+13)%n, rng)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }

@@ -140,48 +140,32 @@ type ChurnResult struct {
 // profile divides the makespan into.
 const UtilBuckets = 8
 
-// release orders job completions; the heap breaks finish-time ties by
-// arrival ID so event processing stays deterministic. attempt snapshots the
-// job's attempt counter at admission: a fault kill bumps the counter, lazily
-// invalidating the stale entry instead of deleting it from the heap.
-type release struct {
-	finish  time.Duration
+// jobEvent is one timed per-job event: a completion (on the release heap)
+// or a fault-killed job's requeue (on the retry heap). Both heaps order by
+// time and break ties by arrival ID, so event processing stays
+// deterministic. For a completion, attempt snapshots the job's attempt
+// counter at admission — a fault kill bumps the counter, lazily
+// invalidating the stale entry instead of deleting it from the heap — and
+// terms are the terminals it frees.
+type jobEvent struct {
+	at      time.Duration
 	id      int
 	attempt int
 	terms   []int
 }
 
-type releaseHeap []release
+type eventHeap []jobEvent
 
-func (h releaseHeap) Len() int { return len(h) }
-func (h releaseHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].id < h[j].id
-}
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)   { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
-
-// retry orders requeues of fault-killed jobs; ties break by arrival ID.
-type retry struct {
-	at time.Duration
-	id int
-}
-
-type retryHeap []retry
-
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].id < h[j].id
 }
-func (h retryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x any)   { *h = append(*h, x.(retry)) }
-func (h *retryHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(jobEvent)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
 
 // maxChurnFaultEvents bounds how many fault events one scenario will
 // process — a backstop against a custom FaultSource that never dries up.
@@ -318,8 +302,8 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	jobAccts := make([]*replay.Result, len(cfg.Arrivals))
 	var (
 		queue []QueuedJob
-		rel   releaseHeap
-		rq    retryHeap
+		rel   eventHeap // job completions
+		rq    eventHeap // requeues of fault-killed jobs
 		pi    int
 	)
 
@@ -378,7 +362,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			consider(pending[pi].Arrival)
 		}
 		if rel.Len() > 0 {
-			consider(rel[0].finish)
+			consider(rel[0].at)
 		}
 		if rq.Len() > 0 {
 			consider(rq[0].at)
@@ -396,8 +380,8 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		// 1. Completions free terminals first: a job finishing at the very
 		// instant its hardware dies counts as completed. Stale entries
 		// (their job was fault-killed mid-run) are skipped.
-		for rel.Len() > 0 && rel[0].finish <= now {
-			r := heap.Pop(&rel).(release)
+		for rel.Len() > 0 && rel[0].at <= now {
+			r := heap.Pop(&rel).(jobEvent)
 			if r.attempt != st.attempt[r.id] {
 				continue
 			}
@@ -429,7 +413,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		}
 		// 3. Due retries rejoin the queue before same-instant fresh arrivals.
 		for rq.Len() > 0 && rq[0].at <= now {
-			r := heap.Pop(&rq).(retry)
+			r := heap.Pop(&rq).(jobEvent)
 			queue = append(queue, QueuedJob{ID: r.id, Spec: cfg.Arrivals[r.id].Job, Arrival: cfg.Arrivals[r.id].At})
 			st.retried++
 		}
@@ -473,7 +457,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			for k, res := range results {
 				id := ids[k]
 				finish := now + res.ExecTime
-				heap.Push(&rel, release{finish: finish, id: id, attempt: st.attempt[id], terms: terms[k]})
+				heap.Push(&rel, jobEvent{at: finish, id: id, attempt: st.attempt[id], terms: terms[k]})
 				st.runTerms[id] = terms[k]
 				st.started[id] = now
 				for _, t := range terms[k] {
@@ -481,9 +465,13 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 				}
 				jobTerms[id] = append([]int(nil), terms[k]...)
 				jobAccts[id] = res
-				jobs[id] = churnJobStats(fabric, predName, cfg.Arrivals[id].Job,
-					preps[index[cfg.Arrivals[id].Job]], res, id,
-					cfg.Arrivals[id].At, now, finish, jobTerms[id])
+				spec, arrival := cfg.Arrivals[id].Job, cfg.Arrivals[id].At
+				p := preps[index[spec]]
+				jobs[id] = ChurnJob{
+					JobStats: jobStats(fabric, spec.App, spec.NP, predName, p.gt, res, p.ded, jobTerms[id]),
+					ID:       id, Arrival: arrival, Start: now, Wait: now - arrival, Finish: finish,
+					Terminals: jobTerms[id],
+				}
 			}
 			// Drop admitted jobs from the queue, preserving order.
 			kept := queue[:0]
@@ -565,7 +553,7 @@ type churnState struct {
 // killing the occupants of any terminal the event downs.
 func (st *churnState) applyFault(ev FaultEvent, now time.Duration, fs *topology.FaultSet,
 	free *FreeList, session *replay.Churn, fabric topology.Fabric,
-	swTerms map[int32][]int, retryPol RetryPolicy, rq *retryHeap) {
+	swTerms map[int32][]int, retryPol RetryPolicy, rq *eventHeap) {
 	switch ev.Kind {
 	case FaultLink:
 		if ev.Repair {
@@ -604,7 +592,7 @@ func (st *churnState) applyFault(ev FaultEvent, now time.Duration, fs *topology.
 // released on the free-list and the session, its partial work is charged as
 // wasted, and it is requeued after backoff or abandoned.
 func (st *churnState) kill(t int, now time.Duration, free *FreeList,
-	session *replay.Churn, retryPol RetryPolicy, rq *retryHeap) {
+	session *replay.Churn, retryPol RetryPolicy, rq *eventHeap) {
 	id := st.runJob[t]
 	if id < 0 {
 		return
@@ -630,7 +618,7 @@ func (st *churnState) kill(t int, now time.Duration, free *FreeList,
 	st.wasted[id] += lost
 	st.wastedTS += lost.Seconds() * float64(np)
 	if st.kills[id] <= retryPol.MaxRetries {
-		heap.Push(rq, retry{at: now + retryPol.Delay(st.kills[id]), id: id})
+		heap.Push(rq, jobEvent{at: now + retryPol.Delay(st.kills[id]), id: id})
 	} else {
 		st.gaveUp[id] = true
 	}
@@ -644,34 +632,6 @@ type churnPrep struct {
 	src trace.Source
 	gt  time.Duration
 	ded *replay.Result
-}
-
-// churnJobStats folds one job's replay result into its scenario record.
-func churnJobStats(f topology.Fabric, predName string, spec JobSpec, p churnPrep,
-	res *replay.Result, id int, arrival, start, finish time.Duration, terms []int) ChurnJob {
-	st := JobStats{
-		App: spec.App, NP: spec.NP, Predictor: predName, GT: p.gt,
-		Exec:       res.ExecTime,
-		Dedicated:  p.ded.ExecTime,
-		SavingPct:  res.AvgSavingPct(),
-		HitRatePct: res.AvgHitRatePct(),
-		Switches:   countSwitches(f, terms),
-		Transfers:  res.Transfers,
-		BytesMoved: res.BytesMoved,
-	}
-	if p.ded.ExecTime > 0 {
-		st.SharingOverheadPct = 100 * (float64(res.ExecTime) - float64(p.ded.ExecTime)) /
-			float64(p.ded.ExecTime)
-	}
-	for _, a := range res.Acct {
-		st.EnergyLinkSeconds += a.Energy(1.0)
-		st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
-	}
-	return ChurnJob{
-		JobStats: st, ID: id,
-		Arrival: arrival, Start: start, Wait: start - arrival, Finish: finish,
-		Terminals: terms,
-	}
 }
 
 // churnResult assembles the scenario-wide summary from the per-job records.

@@ -228,35 +228,41 @@ func Run(cfg Config) (*Result, error) {
 	if ded.err != nil {
 		return nil, ded.err
 	}
-	dedicated := ded.res
 
 	res := &Result{Placement: placementName(cfg.Placement), Terminals: terms}
 	predName := predictorName(cfg.Replay.Power.PredictorName)
 	for j, p := range preps {
-		sh := shared.Jobs[j]
-		st := JobStats{
-			App: p.meta.App, NP: p.meta.NP, Predictor: predName, GT: p.gt,
-			Exec:       sh.ExecTime,
-			Dedicated:  dedicated[j].ExecTime,
-			SavingPct:  sh.AvgSavingPct(),
-			HitRatePct: sh.AvgHitRatePct(),
-			Switches:   countSwitches(fabric, terms[j]),
-			Transfers:  sh.Transfers,
-			BytesMoved: sh.BytesMoved,
-		}
-		if dedicated[j].ExecTime > 0 {
-			st.SharingOverheadPct = 100 * (float64(sh.ExecTime) - float64(dedicated[j].ExecTime)) /
-				float64(dedicated[j].ExecTime)
-		}
-		for _, a := range sh.Acct {
-			st.EnergyLinkSeconds += a.Energy(1.0)
-			st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
-		}
-		res.Jobs = append(res.Jobs, st)
+		res.Jobs = append(res.Jobs, jobStats(fabric, p.meta.App, p.meta.NP, predName, p.gt,
+			shared.Jobs[j], ded.res[j], terms[j]))
 	}
 	res.Fabric = fabricStats(fabric, shared, terms)
 	res.Series = shared.Series
 	return res, nil
+}
+
+// jobStats folds one job's shared-fabric replay result and its
+// dedicated-fabric baseline into the job's statistics.
+func jobStats(f topology.Fabric, app string, np int, predName string, gt time.Duration,
+	res, ded *replay.Result, terms []int) JobStats {
+	st := JobStats{
+		App: app, NP: np, Predictor: predName, GT: gt,
+		Exec:       res.ExecTime,
+		Dedicated:  ded.ExecTime,
+		SavingPct:  res.AvgSavingPct(),
+		HitRatePct: res.AvgHitRatePct(),
+		Switches:   countSwitches(f, terms),
+		Transfers:  res.Transfers,
+		BytesMoved: res.BytesMoved,
+	}
+	if ded.ExecTime > 0 {
+		st.SharingOverheadPct = 100 * (float64(res.ExecTime) - float64(ded.ExecTime)) /
+			float64(ded.ExecTime)
+	}
+	for _, a := range res.Acct {
+		st.EnergyLinkSeconds += a.Energy(1.0)
+		st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
+	}
+	return st
 }
 
 // generate resolves a job's trace source. The default path materializes with

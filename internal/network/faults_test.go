@@ -24,7 +24,7 @@ func runTransfers(t *testing.T, n *Network) []time.Duration {
 
 // TestTransferFaultFreeIdentical pins the network half of the determinism
 // contract: attaching an EMPTY fault set must not change a single arrival
-// time relative to the cached fault-free path — the fault layer consumes the
+// time relative to the direct fault-free path — the fault layer consumes the
 // routing RNG through RouteDraws, never an extra draw.
 func TestTransferFaultFreeIdentical(t *testing.T) {
 	topo := topology.Paper()

@@ -69,24 +69,23 @@ func (c Config) Validate() error {
 
 // Network times transfers over a fabric.
 type Network struct {
-	topo   topology.Fabric
-	cfg    Config
-	rng    *rand.Rand
-	routes *topology.RouteCache // memoized paths; draws from rng like RouteIDsInto
+	topo topology.Fabric
+	cfg  Config
+	rng  *rand.Rand
 
-	nextFree []time.Duration // per directed link: earliest next use
-	busy     []time.Duration // per directed link: accumulated busy time
-	segReady []time.Duration // transferSegments scratch, reused across messages
+	nextFree []time.Duration   // per directed link: earliest next use
+	busy     []time.Duration   // per directed link: accumulated busy time
+	path     []topology.LinkID // route scratch, reused across messages
+	segReady []time.Duration   // transferSegments scratch, reused across messages
 
-	// Fault-aware routing state (SetFaults). While the set is non-empty the
-	// route cache is bypassed: RouteDraws consumes the RNG exactly as the
-	// cached path would, then the fault router picks the detour, so the draw
-	// sequence — and with it every fault-free transfer — stays bit-identical.
+	// Fault-aware routing state (SetFaults). While the set is non-empty,
+	// RouteDraws consumes the RNG exactly as RouteIDsInto would, then the
+	// fault router picks the detour, so the draw sequence — and with it
+	// every fault-free transfer — stays bit-identical.
 	faults     *topology.FaultSet
 	frouter    topology.FaultRouter
-	faultDraws []int             // RouteDraws scratch, reused across messages
-	faultPath  []topology.LinkID // RouteIDsAvoiding scratch, reused across messages
-	unroutable int               // transfers with no healthy path left
+	faultDraws []int // RouteDraws scratch, reused across messages
+	unroutable int   // transfers with no healthy path left
 
 	// Optional per-link busy interval recording (host links, Table I from
 	// the network's perspective and the Figure 6 timeline): a flat slice
@@ -111,7 +110,6 @@ func New(topo topology.Fabric, cfg Config) (*Network, error) {
 		topo:     topo,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		routes:   topology.NewRouteCache(topo),
 		nextFree: make([]time.Duration, topo.NumLinks()),
 		busy:     make([]time.Duration, topo.NumLinks()),
 	}, nil
@@ -192,31 +190,28 @@ func (n *Network) Transfer(src, dst, b int, start time.Duration) time.Duration {
 	if src == dst {
 		return head
 	}
-	// The route cache replays the same RNG draws Route would make and
-	// returns a shared read-only path, so the steady-state transfer path
-	// allocates nothing and timings stay bit-identical to uncached routing.
-	// While faults are present the cache is bypassed: the RNG is consumed
-	// through RouteDraws (identical draw sequence), and the fault router
-	// picks a detour from the recorded draws.
-	var path []topology.LinkID
+	// Fault-free messages route straight through the fabric into a scratch
+	// path reused across messages, so the steady-state transfer allocates
+	// nothing. While faults are present the RNG is consumed through
+	// RouteDraws (the identical draw sequence), and the fault router picks a
+	// detour from the recorded draws.
 	if n.faults != nil && !n.faults.Empty() {
 		n.faultDraws = n.topo.RouteDraws(n.faultDraws[:0], src, dst, n.rng)
 		var ok bool
-		n.faultPath, ok = n.frouter.RouteIDsAvoiding(n.faultPath[:0], src, dst, n.faultDraws, n.faults)
+		n.path, ok = n.frouter.RouteIDsAvoiding(n.path[:0], src, dst, n.faultDraws, n.faults)
 		if !ok {
 			// No healthy path left: count it and time the transfer over the
 			// healthy route so the simulation can proceed deterministically.
 			n.unroutable++
-			n.faultPath = n.topo.RouteIDsFromDraws(n.faultPath[:0], src, dst, n.faultDraws)
+			n.path = n.topo.RouteIDsFromDraws(n.path[:0], src, dst, n.faultDraws)
 		}
-		path = n.faultPath
 	} else {
-		path = n.routes.Route(src, dst, n.rng)
+		n.path = n.topo.RouteIDsInto(n.path[:0], src, dst, n.rng)
 	}
 	if n.cfg.Mode == SegmentLevel {
-		return n.transferSegments(path, b, head)
+		return n.transferSegments(n.path, b, head)
 	}
-	return n.transferMessage(path, b, head)
+	return n.transferMessage(n.path, b, head)
 }
 
 // transferMessage advances the message head hop by hop; every link is

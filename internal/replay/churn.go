@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ibpower/internal/network"
@@ -28,7 +29,8 @@ import (
 // lifetime overlaps its own), while earlier jobs are unaffected by later
 // arrivals — the one-pass analogue of a batch system in which running jobs
 // have priority over newcomers. Jobs admitted in the same batch interleave
-// on the work list and contend bidirectionally, exactly like RunJobs.
+// on the work list and contend bidirectionally; RunJobs is exactly one such
+// batch at t=0.
 //
 // The session is single-threaded and deterministic: the result sequence is
 // a pure function of the admission sequence and Config.
@@ -48,9 +50,9 @@ type termUse struct {
 	finish time.Duration // absolute completion of the last occupant
 }
 
-// NewChurn opens a churn session on the configured fabric. Validation
-// mirrors RunJobs: network parameters and the fabric registry name fail
-// fast, before any job is admitted.
+// NewChurn opens a churn session on the configured fabric. Network
+// parameters and the fabric registry name fail fast, before any job is
+// admitted.
 func NewChurn(cfg Config) (*Churn, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
@@ -142,41 +144,53 @@ func (c *Churn) ReleaseTerminals(at time.Duration, terms []int) {
 // time is <= start, and admissions that would overlap a busy terminal are
 // rejected. On error the session state is undefined and must be discarded.
 func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
+	return c.admit(start, jobs, func(id int, app string, r int) string {
+		return fmt.Sprintf("job %d %s rank %d", id, app, r)
+	})
+}
+
+// admit is the one path from a batch of placed jobs onto the fabric, shared
+// by AdmitAt and RunJobs: it validates every source, placement and power
+// block, adds the jobs' ranks at start, drains them and collects one Result
+// per job. label names rank r's recorded timeline, given the job's session
+// index and application.
+func (c *Churn) admit(start time.Duration, jobs []Job, label func(id int, app string, r int) string) ([]*Result, error) {
 	if len(jobs) == 0 {
-		return nil, fmt.Errorf("replay: churn: no jobs to admit")
+		return nil, fmt.Errorf("replay: no jobs to admit")
 	}
 	if start < c.now {
-		return nil, fmt.Errorf("replay: churn: admission time going backwards: %v < %v", start, c.now)
+		return nil, fmt.Errorf("replay: admission time going backwards: %v < %v", start, c.now)
 	}
 	c.now = start
 	claimed := make(map[int]int) // terminal -> batch job index
 	pws := make([]PowerConfig, len(jobs))
-	srcs := make([]trace.Source, len(jobs))
-	metas := make([]trace.Meta, len(jobs))
+	ranks := 0
 	for j, job := range jobs {
-		src := job.src()
-		if src == nil {
-			return nil, fmt.Errorf("replay: churn job %d has no trace", j)
+		if job.Source == nil {
+			return nil, fmt.Errorf("replay: job %d has no trace", j)
 		}
-		if err := trace.ValidateSource(src); err != nil {
+		if err := trace.ValidateSource(job.Source); err != nil {
 			return nil, err
 		}
-		srcs[j], metas[j] = src, src.Meta()
-		m := metas[j]
+		m := job.Source.Meta()
+		ranks += m.NP
 		if len(job.Terminals) != m.NP {
-			return nil, fmt.Errorf("replay: churn job %d (%s): %d terminals for %d ranks (churn admissions must be placed explicitly)",
+			return nil, fmt.Errorf("replay: job %d (%s): %d terminals for %d ranks",
 				j, m.App, len(job.Terminals), m.NP)
 		}
 		for r, t := range job.Terminals {
 			if t < 0 || t >= len(c.term) {
-				return nil, fmt.Errorf("replay: churn job %d (%s) rank %d: terminal %d out of range [0,%d)",
+				return nil, fmt.Errorf("replay: job %d (%s) rank %d: terminal %d out of range [0,%d)",
 					j, m.App, r, t, len(c.term))
 			}
 			if prev, taken := claimed[t]; taken {
-				return nil, fmt.Errorf("replay: churn jobs %d and %d both placed on terminal %d", prev, j, t)
+				if prev == j {
+					return nil, fmt.Errorf("replay: job %d (%s) places two ranks on terminal %d", j, m.App, t)
+				}
+				return nil, fmt.Errorf("replay: jobs %d and %d both placed on terminal %d", prev, j, t)
 			}
 			if c.term[t].used && c.term[t].finish > start {
-				return nil, fmt.Errorf("replay: churn job %d (%s) rank %d: terminal %d busy until %v at admission time %v",
+				return nil, fmt.Errorf("replay: job %d (%s) rank %d: terminal %d busy until %v at admission time %v",
 					j, m.App, r, t, c.term[t].finish, start)
 			}
 			claimed[t] = j
@@ -189,13 +203,14 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 	}
 
 	from := len(c.e.rk)
+	c.e.rk = slices.Grow(c.e.rk, ranks)
 	added := make([]*jobState, len(jobs))
 	for j, job := range jobs {
-		id, app := c.jobN+j, metas[j].App
+		id, app := c.jobN+j, job.Source.Meta().App
 		// addJob opens fresh cursors, so re-admitting a job (a fault retry)
 		// replays its source from the first op.
-		js, err := c.e.addJob(srcs[j], pws[j], job.Terminals, start, func(r int) string {
-			return fmt.Sprintf("job %d %s rank %d", id, app, r)
+		js, err := c.e.addJob(job.Source, pws[j], job.Terminals, start, func(r int) string {
+			return label(id, app, r)
 		})
 		if err != nil {
 			return nil, err

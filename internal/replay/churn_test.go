@@ -30,7 +30,7 @@ func TestChurnSingleAdmissionMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.AdmitAt(0, Job{Trace: tr, Terminals: identTerms(tr.NP)})
+	got, err := c.AdmitAt(0, Job{Source: tr, Terminals: identTerms(tr.NP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestChurnOffsetAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	const start = 3 * time.Second
-	got, err := c.AdmitAt(start, Job{Trace: tr, Terminals: identTerms(tr.NP)})
+	got, err := c.AdmitAt(start, Job{Source: tr, Terminals: identTerms(tr.NP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestChurnTerminalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.AdmitAt(0, Job{Trace: tr, Terminals: identTerms(tr.NP)})
+	first, err := c.AdmitAt(0, Job{Source: tr, Terminals: identTerms(tr.NP)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	finish := first[0].ExecTime
 
 	// Overlap: same terminals strictly before the first job finishes.
-	if _, err := c.AdmitAt(finish/2, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err == nil {
+	if _, err := c.AdmitAt(finish/2, Job{Source: tr, Terminals: identTerms(tr.NP)}); err == nil {
 		t.Fatal("admission onto busy terminals accepted")
 	} else if !strings.Contains(err.Error(), "busy until") {
 		t.Errorf("overlap error %q should name the busy window", err)
@@ -104,14 +104,14 @@ func TestChurnTerminalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AdmitAt(0, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err != nil {
+	if _, err := c.AdmitAt(0, Job{Source: tr, Terminals: identTerms(tr.NP)}); err != nil {
 		t.Fatal(err)
 	}
 	// Release boundary is inclusive: admission exactly at the finish time.
-	if _, err := c.AdmitAt(finish, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err != nil {
+	if _, err := c.AdmitAt(finish, Job{Source: tr, Terminals: identTerms(tr.NP)}); err != nil {
 		t.Errorf("reuse at the exact finish time rejected: %v", err)
 	}
-	if _, err := c.AdmitAt(finish/2, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err == nil {
+	if _, err := c.AdmitAt(finish/2, Job{Source: tr, Terminals: identTerms(tr.NP)}); err == nil {
 		t.Error("admission time going backwards accepted")
 	}
 }
@@ -125,13 +125,13 @@ func TestChurnReleaseTerminals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.AdmitAt(0, Job{Trace: tr, Terminals: identTerms(tr.NP)})
+	first, err := c.AdmitAt(0, Job{Source: tr, Terminals: identTerms(tr.NP)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kill := first[0].ExecTime / 2
 	c.ReleaseTerminals(kill, identTerms(tr.NP))
-	if _, err := c.AdmitAt(kill, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err != nil {
+	if _, err := c.AdmitAt(kill, Job{Source: tr, Terminals: identTerms(tr.NP)}); err != nil {
 		t.Fatalf("admission onto early-released terminals rejected: %v", err)
 	}
 }

@@ -119,11 +119,10 @@ type jobState struct {
 // itself only reads per-job state, so jobs with different power configs
 // coexist on one timeline.
 type engine struct {
-	net  *network.Network
-	jobs []*jobState
-	rk   []*rankState // all jobs' ranks, dense in global index order
-	pt   map[pairKey]*pairQueues
-	err  error // first cursor decode failure; drain surfaces it
+	net *network.Network
+	rk  []*rankState // all jobs' ranks, dense in global index order
+	pt  map[pairKey]*pairQueues
+	err error // first cursor decode failure; drain surfaces it
 
 	// work is a fixed-capacity ring of runnable ranks (global indexes).
 	// inWork dedupes, so at most len(rk) ranks are ever queued and the ring
@@ -153,7 +152,7 @@ func (e *engine) pair(k pairKey) *pairQueues {
 // single job occupies terminals 0..NP-1 of the fabric, exactly as before the
 // engine learned to share its fabric between jobs (RunJobs); results are
 // bit-identical to that dedicated-fabric engine. All validation (trace,
-// network, registries, capacity) happens in RunJobs.
+// network, registries, capacity) happens on RunJobs' admission path.
 func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	return RunSource(tr, cfg)
 }
@@ -184,7 +183,6 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) (*jobState, error) {
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
-	e.jobs = append(e.jobs, js)
 	for r := 0; r < m.NP; r++ {
 		rs := &rankState{
 			r: r, g: js.base + r, base: js.base, np: m.NP,
@@ -251,14 +249,6 @@ func (e *engine) drain() error {
 		}
 	}
 	return nil
-}
-
-// run drains the engine's work queue and collects the result.
-func (e *engine) run() (*MultiResult, error) {
-	if err := e.drain(); err != nil {
-		return nil, err
-	}
-	return e.collect(), nil
 }
 
 func (e *engine) push(g int) {

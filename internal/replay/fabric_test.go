@@ -110,7 +110,7 @@ func TestRunOnBigPresets(t *testing.T) {
 		for r := range terms {
 			terms[r] = r * stride
 		}
-		res, err := RunJobs([]Job{{Trace: tr, Terminals: terms, Power: &pw}},
+		res, err := RunJobs([]Job{{Source: tr, Terminals: terms, Power: &pw}},
 			DefaultConfig().WithFabric(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

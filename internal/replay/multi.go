@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"ibpower/internal/network"
 	"ibpower/internal/predictor"
 	"ibpower/internal/stats"
-	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 )
 
@@ -16,37 +14,21 @@ import (
 // peers stay job-local, so the same trace replays unchanged whether the job
 // has the fabric to itself or shares it.
 type Job struct {
-	// Trace is the in-memory form of the job's op streams. Exactly one of
-	// Trace and Source must be set; Trace is the materialized shorthand
-	// (*trace.Trace implements trace.Source, so the two paths replay
-	// bit-identically).
-	Trace *trace.Trace
-	// Source streams the job's op streams through cursors — a packed trace
-	// file or an on-the-fly generator — so the engine holds O(window) of the
-	// trace per rank instead of all of it.
+	// Source streams the job's op streams through cursors — an in-memory
+	// *trace.Trace, a packed trace file or an on-the-fly generator — so the
+	// engine holds O(window) of a streamed trace per rank instead of all of
+	// it.
 	Source trace.Source
-	// Terminals maps job-local rank -> fabric terminal. Terminals of all
-	// jobs in one RunJobs call must be disjoint (one MPI process per
-	// terminal). nil places the job's ranks contiguously after the previous
-	// job's block (the linear placement); for a single job that is the
-	// identity mapping Run has always used.
+	// Terminals maps job-local rank -> fabric terminal. Terminals of jobs
+	// running at the same time must be disjoint (one MPI process per
+	// terminal). In RunJobs, nil places the job's ranks on the lowest
+	// terminals no other job claims (the linear placement); for a single
+	// job that is the identity mapping Run has always used.
 	Terminals []int
 	// Power overrides the run-level Config.Power for this job when non-nil,
 	// so each job can carry its own grouping threshold and predictor (the
 	// multi-tenant scenario: every tenant tunes its own mechanism).
 	Power *PowerConfig
-}
-
-// src resolves the job's op stream: Source when set, else the in-memory
-// Trace; nil when the job has neither.
-func (j Job) src() trace.Source {
-	if j.Source != nil {
-		return j.Source
-	}
-	if j.Trace != nil {
-		return j.Trace
-	}
-	return nil
 }
 
 // MultiResult is the outcome of a shared-fabric multi-job replay.
@@ -80,6 +62,10 @@ type MultiResult struct {
 // all jobs' traffic: a switch neighbor's communication phase can shrink or
 // displace the idle windows another job's predictor is trying to exploit.
 //
+// RunJobs is one Churn session with a single admission at t=0: it only adds
+// the capacity check and the linear fill of nil-Terminals jobs, and the
+// session's admission path validates every source and placement.
+//
 // The engine is single-threaded and processes ranks in deterministic order,
 // so results are a pure function of (jobs, cfg) — bit-identical across
 // repeated runs and unaffected by Config.Parallelism, which only harness
@@ -88,127 +74,62 @@ func RunJobs(jobs []Job, cfg Config) (*MultiResult, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("replay: no jobs")
 	}
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Topo == nil {
-		if err := topology.CheckRegistered(cfg.FabricName); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	topo, err := cfg.Fabric()
+	c, err := NewChurn(cfg)
 	if err != nil {
 		return nil, err
 	}
-	nt := topo.NumTerminals()
-
-	// Validate traces and placements: every rank on a distinct terminal.
-	owner := make(map[int]int) // terminal -> job index
-	total := 0
-	srcs := make([]trace.Source, len(jobs))
-	metas := make([]trace.Meta, len(jobs))
-	for j := range jobs {
-		src := jobs[j].src()
-		if src == nil {
-			return nil, fmt.Errorf("replay: job %d has no trace", j)
+	// Explicitly placed jobs claim their terminals first, then nil-Terminals
+	// jobs fill the lowest unclaimed terminals in job order, so a mix of
+	// explicit and automatic placement never collides and never runs out of
+	// terminals while free ones remain. Jobs without a source are left to
+	// admit to reject.
+	nt := len(c.term)
+	claimed := make([]bool, nt)
+	need := 0
+	for _, j := range jobs {
+		if j.Source == nil {
+			continue
 		}
-		if err := trace.ValidateSource(src); err != nil {
-			return nil, err
-		}
-		srcs[j], metas[j] = src, src.Meta()
-		total += metas[j].NP
-		if jobs[j].Terminals == nil {
-			continue // placed linearly below, after total is known
-		}
-		if len(jobs[j].Terminals) != metas[j].NP {
-			return nil, fmt.Errorf("replay: job %d (%s): %d terminals for %d ranks",
-				j, metas[j].App, len(jobs[j].Terminals), metas[j].NP)
+		need += j.Source.Meta().NP
+		for _, t := range j.Terminals {
+			if t >= 0 && t < nt {
+				claimed[t] = true
+			}
 		}
 	}
-	if total > nt {
+	if need > nt {
 		return nil, fmt.Errorf("replay: fabric %s has %d terminals, need %d",
-			topo.Name(), nt, total)
+			c.topo.Name(), nt, need)
 	}
-	// Two passes: explicitly placed jobs claim their terminals first, then
-	// nil-Terminals jobs fill the lowest free terminals in job order — so a
-	// mix of explicit and automatic placement never collides and never runs
-	// out of terminals while free ones remain (the capacity check above
-	// already guaranteed the mix fits).
-	terms := make([][]int, len(jobs))
-	for j := range jobs {
-		if jobs[j].Terminals == nil {
+	placed := append([]Job(nil), jobs...)
+	next := 0
+	for i, j := range placed {
+		if j.Terminals != nil || j.Source == nil {
 			continue
 		}
-		terms[j] = jobs[j].Terminals
-		for r, t := range terms[j] {
-			if t < 0 || t >= nt {
-				return nil, fmt.Errorf("replay: job %d (%s) rank %d: terminal %d out of range [0,%d)",
-					j, metas[j].App, r, t, nt)
+		np := j.Source.Meta().NP
+		terms := make([]int, 0, max(np, 0))
+		for len(terms) < np && next < nt {
+			if !claimed[next] {
+				terms = append(terms, next)
 			}
-			if prev, taken := owner[t]; taken {
-				if prev == j {
-					return nil, fmt.Errorf("replay: job %d (%s) places two ranks on terminal %d",
-						j, metas[j].App, t)
-				}
-				return nil, fmt.Errorf("replay: jobs %d and %d both placed on terminal %d",
-					prev, j, t)
-			}
-			owner[t] = j
-		}
-	}
-	next := 0 // lowest candidate free terminal for automatic placement
-	for j := range jobs {
-		if jobs[j].Terminals != nil {
-			continue
-		}
-		terms[j] = make([]int, metas[j].NP)
-		for r := range terms[j] {
-			for {
-				if _, taken := owner[next]; !taken {
-					break
-				}
-				next++
-			}
-			terms[j][r] = next
-			owner[next] = j
 			next++
 		}
+		placed[i].Terminals = terms
 	}
 
-	// Resolve each job's effective power configuration.
-	pws := make([]PowerConfig, len(jobs))
-	for j := range jobs {
-		pw, err := resolvePower(cfg, jobs[j])
-		if err != nil {
-			return nil, err
-		}
-		pws[j] = pw
-	}
-
-	net, err := network.New(topo, cfg.Net)
+	res, err := c.admit(0, placed, func(id int, app string, r int) string {
+		return timelineLabel(len(jobs), id, app, r)
+	})
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
-		net: net,
-		rk:  make([]*rankState, 0, total),
-		pt:  make(map[pairKey]*pairQueues),
+	m := &MultiResult{Jobs: res, LinkBusy: c.LinkBusy(), Series: c.Telemetry()}
+	m.Transfers, m.BytesMoved = c.Stats()
+	for _, r := range res {
+		m.MakeSpan = max(m.MakeSpan, r.ExecTime)
 	}
-	if cfg.Telemetry.Enabled {
-		e.tele = newTelemetry(cfg.Telemetry, topo)
-		net.Observe(e.tele)
-	}
-	for j := range jobs {
-		j, app := j, metas[j].App
-		_, err := e.addJob(srcs[j], pws[j], terms[j], 0, func(r int) string {
-			return timelineLabel(len(jobs), j, app, r)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.enqueue(0)
-	return e.run()
+	return m, nil
 }
 
 // resolvePower returns the job's effective power block — its own override or

@@ -34,7 +34,7 @@ func TestRunJobsSingleJobMatchesRun(t *testing.T) {
 	for i := range ident {
 		ident[i] = i
 	}
-	got, err := RunJobs([]Job{{Trace: tr, Terminals: ident}}, cfg)
+	got, err := RunJobs([]Job{{Source: tr, Terminals: ident}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestRunJobsSingleJobMatchesRun(t *testing.T) {
 // function of its inputs: repeated runs must agree bit for bit.
 func TestRunJobsDeterministic(t *testing.T) {
 	jobs := []Job{
-		{Trace: genTrace(t, "gromacs", 8)},
-		{Trace: genTrace(t, "alya", 8)},
+		{Source: genTrace(t, "gromacs", 8)},
+		{Source: genTrace(t, "alya", 8)},
 	}
 	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
 	a, err := RunJobs(jobs, cfg)
@@ -78,8 +78,8 @@ func TestRunJobsDeterministic(t *testing.T) {
 // fabric-wide counters must be the union of the per-job ones.
 func TestRunJobsScopesJobs(t *testing.T) {
 	jobs := []Job{
-		{Trace: genTrace(t, "nasbt", 9)},
-		{Trace: genTrace(t, "nasmg", 8)},
+		{Source: genTrace(t, "nasbt", 9)},
+		{Source: genTrace(t, "nasmg", 8)},
 	}
 	m, err := RunJobs(jobs, DefaultConfig())
 	if err != nil {
@@ -93,8 +93,8 @@ func TestRunJobsScopesJobs(t *testing.T) {
 		if res.ExecTime <= 0 {
 			t.Errorf("job %d: non-positive exec time %v", j, res.ExecTime)
 		}
-		if len(res.RankFinish) != jobs[j].Trace.NP {
-			t.Errorf("job %d: %d rank finishes, want %d", j, len(res.RankFinish), jobs[j].Trace.NP)
+		if len(res.RankFinish) != jobs[j].Source.Meta().NP {
+			t.Errorf("job %d: %d rank finishes, want %d", j, len(res.RankFinish), jobs[j].Source.Meta().NP)
 		}
 		sumT += res.Transfers
 		sumB += res.BytesMoved
@@ -118,8 +118,8 @@ func TestRunJobsScopesJobs(t *testing.T) {
 func TestRunJobsPerJobPower(t *testing.T) {
 	on := DefaultConfig().WithPower(20*time.Microsecond, 0.01).Power
 	jobs := []Job{
-		{Trace: genTrace(t, "alya", 8), Power: &on},
-		{Trace: genTrace(t, "wrf", 8)},
+		{Source: genTrace(t, "alya", 8), Power: &on},
+		{Source: genTrace(t, "wrf", 8)},
 	}
 	m, err := RunJobs(jobs, DefaultConfig())
 	if err != nil {
@@ -151,7 +151,7 @@ func TestRunJobsAutoPlacementFillsGaps(t *testing.T) {
 	for i := range top {
 		top[i] = nt - 8 + i
 	}
-	m, err := RunJobs([]Job{{Trace: tr, Terminals: top}, {Trace: tr}}, cfg)
+	m, err := RunJobs([]Job{{Source: tr, Terminals: top}, {Source: tr}}, cfg)
 	if err != nil {
 		t.Fatalf("auto placement overflowed despite %d free terminals: %v", nt-8, err)
 	}
@@ -172,14 +172,14 @@ func TestRunJobsValidation(t *testing.T) {
 	}{
 		{"no jobs", nil, "no jobs"},
 		{"overlap", []Job{
-			{Trace: tr, Terminals: []int{0, 1, 2, 3, 4, 5, 6, 7}},
-			{Trace: tr, Terminals: []int{7, 8, 9, 10, 11, 12, 13, 14}},
+			{Source: tr, Terminals: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+			{Source: tr, Terminals: []int{7, 8, 9, 10, 11, 12, 13, 14}},
 		}, "both placed on terminal 7"},
 		{"out of range", []Job{
-			{Trace: tr, Terminals: []int{0, 1, 2, 3, 4, 5, 6, 100000}},
+			{Source: tr, Terminals: []int{0, 1, 2, 3, 4, 5, 6, 100000}},
 		}, "out of range"},
 		{"wrong length", []Job{
-			{Trace: tr, Terminals: []int{0, 1}},
+			{Source: tr, Terminals: []int{0, 1}},
 		}, "2 terminals for 8 ranks"},
 		{"nil trace", []Job{{}}, "no trace"},
 	}
@@ -193,7 +193,7 @@ func TestRunJobsValidation(t *testing.T) {
 	// More ranks than terminals.
 	big := make([]Job, 0, 40)
 	for i := 0; i < 40; i++ {
-		big = append(big, Job{Trace: tr})
+		big = append(big, Job{Source: tr})
 	}
 	if _, err := RunJobs(big, cfg); err == nil || !strings.Contains(err.Error(), "terminals") {
 		t.Errorf("overcommitted fabric: error %v, want terminal-count complaint", err)

@@ -17,15 +17,16 @@ import (
 // Links are identified by dense LinkIDs into the fabric's LinkTable — paths
 // are []LinkID and per-link state lives in flat slices sized by NumLinks().
 //
-// Routing is split into three methods so the RouteCache can memoize paths
-// without disturbing the random-routing draw sequence:
+// Routing is split into three methods so fault-aware routing (FaultRouter)
+// can choose a detour without disturbing the random-routing draw sequence:
 //
 //   - RouteIDsInto computes a path directly, drawing any random choices from
-//     rng (the plain, uncached entry point).
+//     rng (the entry point every fault-free transfer takes).
 //   - RouteDraws consumes from rng exactly the draws RouteIDsInto would make
 //     for (src, dst) — same count, same order, same Intn arguments — and
 //     records each pick. Timings driven by a shared RNG therefore stay
-//     bit-identical whether or not a cache sits in front of the fabric.
+//     bit-identical whether a path comes from RouteIDsInto or from recorded
+//     draws (a detour, or the RouteCache).
 //   - RouteIDsFromDraws deterministically reconstructs the path a recorded
 //     draw sequence selects. For any rng state,
 //     RouteIDsFromDraws(nil, s, d, RouteDraws(nil, s, d, rng)) must equal

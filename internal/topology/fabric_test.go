@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ibpower/internal/registrytest"
@@ -271,65 +272,95 @@ func TestDragonflyInvariants(t *testing.T) {
 
 // TestTorusDimensionOrder asserts torus routes correct dimensions strictly
 // in order, one ±1 ring step at a time along the shorter arc, and are fully
-// deterministic.
+// deterministic. Every (src, dst) pair of both presets is checked, and an
+// exact half-ring tie must travel in the + direction: the + step of a ring is
+// its cable's forward (even) LinkID, the - step the reverse (odd) one.
+// Coordinates are recomputed from Dims here, independently of the
+// precomputed ring tables routing walks.
 func TestTorusDimensionOrder(t *testing.T) {
-	f := MustNamed("torus3d").(*Torus)
-	tab := f.Table()
-	pick := rand.New(rand.NewSource(29))
-	coords := func(r int) []int {
-		c := make([]int, len(f.Dims))
-		for d := range f.Dims {
-			c[d] = (r / f.stride[d]) % f.Dims[d]
-		}
-		return c
-	}
-	// Routers occupy node IDs at multiples of P+1.
-	routerOf := func(n int32) int { return int(n) / (f.P + 1) }
-	for i := 0; i < 400; i++ {
-		src, dst := pick.Intn(144), pick.Intn(144)
-		if src == dst {
-			continue
-		}
-		path := f.RouteIDsInto(nil, src, dst, rand.New(rand.NewSource(int64(i))))
-		if again := f.RouteIDsInto(nil, src, dst, nil); len(again) != len(path) {
-			t.Fatalf("route %d->%d depends on the RNG", src, dst)
-		}
-		// Interior hops are router->router ring steps.
-		highest := 0
-		expectedLen := 2
-		sc, dc := coords(src/f.P), coords(dst/f.P)
-		for d := range f.Dims {
-			delta := (dc[d] - sc[d] + f.Dims[d]) % f.Dims[d]
-			if delta > f.Dims[d]-delta {
-				delta = f.Dims[d] - delta
+	for _, name := range []string{"torus2d", "torus3d"} {
+		f := MustNamed(name).(*Torus)
+		tab := f.Table()
+		coords := func(r int) []int {
+			c := make([]int, len(f.Dims))
+			for d, size := range f.Dims {
+				c[d] = r % size
+				r /= size
 			}
-			expectedLen += delta
+			return c
 		}
-		if len(path) != expectedLen {
-			t.Fatalf("route %d->%d has %d links, want %d (shortest arcs)", src, dst, len(path), expectedLen)
-		}
-		for _, l := range path[1 : len(path)-1] {
-			a, b := coords(routerOf(tab.From[l])), coords(routerOf(tab.To[l]))
-			changed := -1
-			for d := range a {
-				if a[d] != b[d] {
-					if changed >= 0 {
-						t.Fatalf("route %d->%d: hop changes two dimensions", src, dst)
+		// Routers occupy node IDs at multiples of P+1.
+		routerOf := func(n int32) int { return int(n) / (f.P + 1) }
+		rng := rand.New(rand.NewSource(29))
+		n := f.NumTerminals()
+		var path, again []LinkID
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				path = f.RouteIDsInto(path[:0], src, dst, rng)
+				again = f.RouteIDsInto(again[:0], src, dst, nil)
+				if !slices.Equal(path, again) {
+					t.Fatalf("%s: route %d->%d depends on the RNG", name, src, dst)
+				}
+				// Per dimension: the shorter-arc step count and direction,
+				// ties going +.
+				sc, dc := coords(src/f.P), coords(dst/f.P)
+				wantSteps := make([]int, len(f.Dims))
+				wantPlus := make([]bool, len(f.Dims))
+				expectedLen := 2
+				for d, size := range f.Dims {
+					delta := (dc[d] - sc[d] + size) % size
+					wantSteps[d], wantPlus[d] = delta, true
+					if size-delta < delta {
+						wantSteps[d], wantPlus[d] = size-delta, false
 					}
-					changed = d
-					diff := (b[d] - a[d] + f.Dims[d]) % f.Dims[d]
-					if diff != 1 && diff != f.Dims[d]-1 {
-						t.Fatalf("route %d->%d: hop jumps %d in dimension %d", src, dst, diff, d)
+					expectedLen += wantSteps[d]
+				}
+				if len(path) != expectedLen {
+					t.Fatalf("%s: route %d->%d has %d links, want %d (shortest arcs)", name, src, dst, len(path), expectedLen)
+				}
+				// Interior hops are router->router ring steps.
+				highest := 0
+				steps := make([]int, len(f.Dims))
+				for _, l := range path[1 : len(path)-1] {
+					a, b := coords(routerOf(tab.From[l])), coords(routerOf(tab.To[l]))
+					changed := -1
+					for d := range a {
+						if a[d] == b[d] {
+							continue
+						}
+						if changed >= 0 {
+							t.Fatalf("%s: route %d->%d: hop changes two dimensions", name, src, dst)
+						}
+						changed = d
+						diff, size := (b[d]-a[d]+f.Dims[d])%f.Dims[d], f.Dims[d]
+						wantDiff := 1
+						if !wantPlus[d] {
+							wantDiff = size - 1
+						}
+						if diff != wantDiff {
+							t.Fatalf("%s: route %d->%d: hop moves %d in dimension %d, want %d", name, src, dst, diff, d, wantDiff)
+						}
+						if plus := l&1 == 0; plus != wantPlus[d] {
+							t.Fatalf("%s: route %d->%d: dimension %d stepped + = %v, want %v (ties go +)",
+								name, src, dst, d, plus, wantPlus[d])
+						}
 					}
+					if changed < 0 {
+						t.Fatalf("%s: route %d->%d: hop changes no dimension", name, src, dst)
+					}
+					if changed < highest {
+						t.Fatalf("%s: route %d->%d: dimension %d corrected after dimension %d", name, src, dst, changed, highest)
+					}
+					highest = changed
+					steps[changed]++
+				}
+				if !slices.Equal(steps, wantSteps) {
+					t.Fatalf("%s: route %d->%d: steps per dimension %v, want %v", name, src, dst, steps, wantSteps)
 				}
 			}
-			if changed < 0 {
-				t.Fatalf("route %d->%d: hop changes no dimension", src, dst)
-			}
-			if changed < highest {
-				t.Fatalf("route %d->%d: dimension %d corrected after dimension %d", src, dst, changed, highest)
-			}
-			highest = changed
 		}
 	}
 }

@@ -41,7 +41,7 @@ func NewFaultSet(f Fabric) *FaultSet {
 }
 
 // Empty reports whether every entity is healthy; the network model skips all
-// fault checks (and keeps using its route cache) while the set is empty.
+// fault checks (and keeps routing directly) while the set is empty.
 func (fs *FaultSet) Empty() bool { return fs.cables == 0 && fs.down == 0 }
 
 // FailedCables returns the number of individually failed cables.
@@ -300,7 +300,10 @@ func (t *Torus) RouteIDsAvoiding(buf []LinkID, src, dst int, _ []int, fs *FaultS
 		skip := false
 		for d := 0; d < len(t.Dims) && !blocked; d++ {
 			size := t.Dims[d]
-			delta := ((target/t.stride[d])%size - (cur/t.stride[d])%size + size) % size
+			delta := int(t.coord[target*len(t.Dims)+d] - t.coord[cur*len(t.Dims)+d])
+			if delta < 0 {
+				delta += size
+			}
 			if delta == 0 {
 				if mask&(1<<uint(d)) != 0 {
 					skip = true // flipping an uncorrected dimension duplicates mask 0
@@ -316,18 +319,17 @@ func (t *Torus) RouteIDsAvoiding(buf []LinkID, src, dst int, _ []int, fs *FaultS
 				steps, dir = size-steps, -dir
 			}
 			for s := 0; s < steps; s++ {
-				var id LinkID
-				if dir > 0 {
-					id = t.plus[cur*len(t.Dims)+d]
-				} else {
-					id = t.minus[cur*len(t.Dims)+d]
+				i := cur*len(t.Dims) + d
+				id, nextR := t.plus[i], t.next[i]
+				if dir < 0 {
+					id, nextR = t.minus[i], t.prev[i]
 				}
 				if fs.Blocked(id) {
 					blocked = true
 					break
 				}
 				buf = append(buf, id)
-				cur = t.neighbor(cur, d, dir)
+				cur = int(nextR)
 			}
 		}
 		if skip || blocked {

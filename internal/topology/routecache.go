@@ -91,7 +91,7 @@ type cacheShard struct {
 // Returned paths are read-only views into cache slots: they are valid until
 // a later Route call evicts or recycles the slot, so callers must consume
 // (or copy) a path before routing again. A RouteCache is not safe for
-// concurrent use — use one per replay engine, like the RNG it consumes.
+// concurrent use — use one per RNG it consumes.
 type RouteCache struct {
 	f          Fabric
 	shards     [cacheShards]cacheShard

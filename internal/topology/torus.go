@@ -10,7 +10,9 @@ import (
 // first, then dimension 1, and so on, always travelling around the shorter
 // arc of the ring (ties break toward +). Routing consumes no RNG draws, so
 // every (src, dst) pair has exactly one path. Routers are row-major indices
-// over Dims; the ring adjacency is two flat LinkID arrays.
+// over Dims; the ring adjacency is two flat LinkID arrays, and per-(router,
+// dim) neighbour and coordinate tables let routing walk a ring without a
+// divide or modulo per hop.
 type Torus struct {
 	Dims []int // ring length per dimension; each >= 2
 	P    int   // terminals per router
@@ -19,7 +21,8 @@ type Torus struct {
 
 	hostUp      []LinkID // per terminal: the up-link into its router
 	plus, minus []LinkID // per (router*len(Dims)+dim): directed ring links
-	stride      []int    // row-major stride per dimension
+	next, prev  []int32  // per (router*len(Dims)+dim): ring neighbour routers
+	coord       []int32  // per (router*len(Dims)+dim): the router's coordinate
 }
 
 // NewTorus builds the torus with the given per-dimension ring lengths and p
@@ -38,11 +41,20 @@ func NewTorus(dims []int, p int) (*Torus, error) {
 		}
 		n *= d
 	}
-	t := &Torus{Dims: append([]int(nil), dims...), P: p, stride: make([]int, len(dims))}
-	s := 1
-	for i := range dims {
-		t.stride[i] = s
-		s *= dims[i]
+	t := &Torus{Dims: append([]int(nil), dims...), P: p}
+	nd := len(dims)
+	t.next = make([]int32, n*nd)
+	t.prev = make([]int32, n*nd)
+	t.coord = make([]int32, n*nd)
+	for r := 0; r < n; r++ {
+		stride := 1
+		for d, size := range dims {
+			c := (r / stride) % size
+			t.coord[r*nd+d] = int32(c)
+			t.next[r*nd+d] = int32(r + ((c+1)%size-c)*stride)
+			t.prev[r*nd+d] = int32(r + ((c+size-1)%size-c)*stride)
+			stride *= size
+		}
 	}
 
 	// Node IDs follow construction order: router r at r*(p+1), immediately
@@ -58,31 +70,16 @@ func NewTorus(dims []int, p int) (*Torus, error) {
 	// neighbour's link is the reverse direction of that neighbour's cable.
 	// A length-2 ring yields two parallel cables between the pair (one per
 	// endpoint), the standard double-link degenerate torus.
-	nd := len(dims)
 	t.plus = make([]LinkID, n*nd)
 	t.minus = make([]LinkID, n*nd)
-	for r := 0; r < n; r++ {
-		for d := range dims {
-			next := t.neighbor(r, d, +1)
-			t.plus[r*nd+d] = t.tab.addCable(routerNode(r), routerNode(next), LinkFromSwitch|LinkToSwitch)
-		}
+	for i := range t.plus {
+		t.plus[i] = t.tab.addCable(routerNode(i/nd), routerNode(int(t.next[i])), LinkFromSwitch|LinkToSwitch)
 	}
-	for r := 0; r < n; r++ {
-		for d := range dims {
-			prev := t.neighbor(r, d, -1)
-			// prev's +1 cable points at r; its reverse runs r -> prev.
-			t.minus[r*nd+d] = Reverse(t.plus[prev*nd+d])
-		}
+	for i := range t.minus {
+		// prev's +1 cable points at r; its reverse runs r -> prev.
+		t.minus[i] = Reverse(t.plus[int(t.prev[i])*nd+i%nd])
 	}
 	return t, nil
-}
-
-// neighbor returns the row-major index of r's neighbour along dimension d.
-func (t *Torus) neighbor(r, d, dir int) int {
-	size := t.Dims[d]
-	coord := (r / t.stride[d]) % size
-	next := (coord + dir + size) % size
-	return r + (next-coord)*t.stride[d]
 }
 
 // Name describes the instance.
@@ -112,9 +109,10 @@ func (t *Torus) NumLinks() int { return t.tab.Len() }
 // Table returns the fabric's compact link table.
 func (t *Torus) Table() *LinkTable { return &t.tab }
 
-// RoutingBytes returns the resident size of the flat adjacency arrays.
+// RoutingBytes returns the resident size of the flat adjacency and ring
+// tables.
 func (t *Torus) RoutingBytes() int64 {
-	return int64(len(t.hostUp))*4 + int64(len(t.plus))*4 + int64(len(t.minus))*4
+	return 4 * int64(len(t.hostUp)+len(t.plus)+len(t.minus)+len(t.next)+len(t.prev)+len(t.coord))
 }
 
 // HostLinkID returns the directed link from terminal i into its router.
@@ -127,28 +125,25 @@ func (t *Torus) RouteIDsInto(buf []LinkID, src, dst int, _ *rand.Rand) []LinkID 
 		return buf
 	}
 	buf = append(buf, t.hostUp[src])
-	cur := src / t.P
-	target := dst / t.P
+	cur, target := src/t.P, dst/t.P
 	nd := len(t.Dims)
-	for d := 0; d < nd; d++ {
-		size := t.Dims[d]
-		delta := ((target/t.stride[d])%size - (cur/t.stride[d])%size + size) % size
-		if delta == 0 {
-			continue
+	for d, size := range t.Dims {
+		delta := int(t.coord[target*nd+d] - t.coord[cur*nd+d])
+		if delta < 0 {
+			delta += size
 		}
 		// Travel the shorter arc; an exact half-ring tie keeps the +
 		// direction so routing stays deterministic.
-		steps, dir := delta, +1
 		if size-delta < delta {
-			steps, dir = size-delta, -1
-		}
-		for s := 0; s < steps; s++ {
-			if dir > 0 {
-				buf = append(buf, t.plus[cur*nd+d])
-			} else {
+			for s := delta; s < size; s++ {
 				buf = append(buf, t.minus[cur*nd+d])
+				cur = int(t.prev[cur*nd+d])
 			}
-			cur = t.neighbor(cur, d, dir)
+		} else {
+			for s := 0; s < delta; s++ {
+				buf = append(buf, t.plus[cur*nd+d])
+				cur = int(t.next[cur*nd+d])
+			}
 		}
 	}
 	return append(buf, Reverse(t.hostUp[dst]))
