@@ -2,6 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,5 +82,57 @@ func TestMultijobSweepRejectsUnknownPlacement(t *testing.T) {
 	_, err := r.MultijobSweep([]string{"nosuch"}, testMixes(), 0.01)
 	if err == nil || !strings.Contains(err.Error(), "unknown placement") {
 		t.Errorf("error %v, want unknown placement with registry listed", err)
+	}
+}
+
+// TestMultijobSweepGolden pins the exact bytes of the E15 sweep — every
+// registered placement × DefaultJobMixes at -scale 0.1 on the paper fabric,
+// the sweep table followed by each cell's per-job table — at three
+// parallelism settings. The file was written by the static multi-job stack
+// before it was folded into the churn engine, so it proves a static mix is
+// still exactly a churn scenario whose jobs all arrive at t=0. Regenerate
+// deliberately with `go test -run TestMultijobSweepGolden -update
+// ./internal/harness` and inspect the diff.
+func TestMultijobSweepGolden(t *testing.T) {
+	opt := workloads.Options{Seed: 42, IterScale: 0.1}
+	var ref []byte
+	for _, par := range []int{1, 4, 0} {
+		cfg := replay.DefaultConfig()
+		cfg.Parallelism = par
+		rows, err := NewRunner(opt, cfg).MultijobSweep(nil, DefaultJobMixes(), 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteMultijobSweep(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			fmt.Fprintf(&buf, "\n%s %s\n", row.Placement, row.Mix)
+			if err := multijob.WriteResult(&buf, row.Result); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ref == nil {
+			ref = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), ref) {
+			t.Fatalf("sweep output at Parallelism %d differs from serial run", par)
+		}
+	}
+	golden := filepath.Join("testdata", "multijob_sweep.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, ref, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref, want) {
+		t.Errorf("multijob sweep output drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s",
+			golden, ref, want)
 	}
 }
