@@ -45,6 +45,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -219,7 +220,7 @@ func cmdWeak(args []string) error {
 	d := fs.Float64("d", 0.01, "displacement factor")
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
@@ -246,7 +247,7 @@ func cmdDVS(args []string) error {
 	np := fs.Int("np", 16, "process count")
 	d := fs.Float64("d", 0.01, "WRPS displacement factor")
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	type row struct {
@@ -298,7 +299,7 @@ func cmdEnergy(args []string) error {
 	np := fs.Int("np", 16, "process count")
 	deepUS := fs.Int("deepus", 1000, "deep-mode reactivation time [us]")
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	names := workloads.Apps()
@@ -361,8 +362,25 @@ func checkTopo(name string) error {
 	return topology.CheckRegistered(name)
 }
 
-// checkFlags validates the -predictor and -topo selections together.
-func checkFlags(pred, topo string) error {
+// checkScale rejects a -scale that is not a finite number > 0 (NaN fails
+// the comparison), so the flag never silently means "full scale" the way
+// the library's zero workloads.Options does.
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: must be a finite number > 0", scale)
+	}
+	return nil
+}
+
+// checkFlags validates the shared flags together: -scale for subcommands
+// that generate workloads (opt non-nil), then the -predictor and -topo
+// selections.
+func checkFlags(opt *workloads.Options, pred, topo string) error {
+	if opt != nil {
+		if err := checkScale(opt.IterScale); err != nil {
+			return err
+		}
+	}
 	if err := checkPredictor(pred); err != nil {
 		return err
 	}
@@ -385,7 +403,7 @@ func cmdTableI(args []string) error {
 	topo := topoFlag(fs)
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
@@ -411,7 +429,7 @@ func cmdGT(args []string) error {
 	np := fs.Int("np", 64, "process count for -app sweeps")
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	if *app == "" {
@@ -467,7 +485,7 @@ func cmdOverheads(args []string) error {
 	topo := topoFlag(fs)
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
@@ -493,7 +511,7 @@ func cmdFigures(args []string) error {
 	apps := fs.String("apps", "", "comma-separated app filter")
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	ds := harness.Displacements
@@ -538,7 +556,7 @@ func cmdCompare(args []string) error {
 	apps := fs.String("apps", "", "comma-separated app filter")
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	var names []string
@@ -585,7 +603,7 @@ func cmdMultijob(args []string) error {
 	tf := traceFileFlag(fs)
 	tsPath := timeseriesFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	if err := multijob.CheckRegistered(*placement); err != nil {
@@ -661,7 +679,7 @@ func cmdScenario(args []string) error {
 	tf := traceFileFlag(fs)
 	tsPath := timeseriesFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	if err := scenario.CheckRegistered(*sched); err != nil {
@@ -756,7 +774,7 @@ func cmdTimeline(args []string) error {
 	prv := fs.Bool("prv", false, "emit Paraver-like records instead of ASCII")
 	tsPath := timeseriesFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
 	tr, err := workloads.Generate(*app, *np, *opt)
@@ -804,7 +822,7 @@ func cmdPPA(args []string) error {
 	pred := predFlag(fs, predictor.DefaultName)
 	topo := topoFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkFlags(nil, *pred, *topo); err != nil {
 		return err
 	}
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -121,5 +123,40 @@ func TestScenarioRejectsBadFlags(t *testing.T) {
 	}
 	if err := cmdScenario([]string{"-specfile", "testdata-nosuch-file"}); err == nil {
 		t.Error("missing -specfile accepted")
+	}
+}
+
+// TestBadScaleRejectedEverywhere asserts every subcommand that registers
+// -scale rejects a value that is not a finite number > 0 before any work,
+// with an error naming the flag: -scale 0 must not silently mean full scale,
+// and a negative, NaN or infinite multiplier must not reach the generator.
+func TestBadScaleRejectedEverywhere(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "never.ibt")
+	cmds := map[string]func([]string) error{
+		"tableI":    cmdTableI,
+		"gt":        cmdGT,
+		"overheads": cmdOverheads,
+		"figures":   cmdFigures,
+		"compare":   cmdCompare,
+		"multijob":  cmdMultijob,
+		"scenario":  cmdScenario,
+		"timeline":  cmdTimeline,
+		"energy":    cmdEnergy,
+		"dvs":       cmdDVS,
+		"weak":      cmdWeak,
+		"trace pack": func(args []string) error {
+			return cmdTrace(append([]string{"pack", "-jobs", "alya:8", "-o", out}, args...))
+		},
+	}
+	for name, fn := range cmds {
+		for _, v := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
+			err := fn([]string{"-scale", v})
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Errorf("%s -scale %s: error %v, want a complaint naming -scale", name, v, err)
+			}
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("trace pack wrote %s despite a bad -scale (stat: %v)", out, err)
 	}
 }

@@ -85,6 +85,9 @@ func cmdTracePack(args []string) error {
 	pf := tracePackFlags(fs)
 	out, jobsStr, in, seed, scale, weak := pf.out, pf.jobs, pf.in, pf.seed, pf.scale, pf.weak
 	fs.Parse(args)
+	if err := checkScale(*scale); err != nil {
+		return err
+	}
 	if *jobsStr == "" && *in == "" {
 		return fmt.Errorf("trace pack: nothing to pack (need -jobs and/or -in)")
 	}

@@ -149,8 +149,9 @@ type (
 	// sharing overhead vs a dedicated fabric) and fabric-wide aggregates
 	// (per-link utilization, decomposed switch power saving).
 	MultijobResult = multijob.Result
-	// PlacementFunc maps a job mix onto fabric terminals; implementations
-	// register with RegisterPlacement.
+	// PlacementFunc is a placement policy: a seeded preference order over
+	// every terminal of a fabric, which jobs are allocated from, first free
+	// terminal first; implementations register with RegisterPlacement.
 	PlacementFunc = multijob.PlaceFunc
 )
 
@@ -305,16 +306,20 @@ func ParseJobs(s string) ([]JobSpec, error) { return multijob.ParseJobs(s) }
 // RegisterPlacement).
 func Placements() []string { return multijob.Names() }
 
-// RegisterPlacement adds a placement policy to the registry; it panics on
-// duplicate names. Registered policies are selectable by RunMultijob, the
-// harness sharing sweep, and the ibpower command's -placement flag.
+// RegisterPlacement adds a placement policy — a terminal ordering — to the
+// registry; it panics on duplicate names. Registered policies are selectable
+// by RunMultijob, RunScenario, the harness sweeps, and the ibpower command's
+// -placement flag.
 func RegisterPlacement(name string, fn PlacementFunc) { multijob.Register(name, fn) }
 
 // RunMultijob simulates several independent workloads concurrently on one
 // shared fabric: each job gets its own trace, predictor and
 // placement-assigned terminals, links observe the union of all jobs'
-// traffic, and results are reported per job and fabric-wide. Results are
-// deterministic for a given configuration at any Parallelism setting.
+// traffic, and results are reported per job and fabric-wide. A static mix
+// runs on the churn engine as a scenario whose jobs all arrive at t=0, so
+// it fails fast — before any trace is generated — when its ranks exceed the
+// fabric. Results are deterministic for a given configuration at any
+// Parallelism setting.
 func RunMultijob(cfg MultijobConfig) (*MultijobResult, error) { return multijob.Run(cfg) }
 
 // ParseScenarioSpec parses the comma-separated key=value scenario form the

@@ -165,36 +165,38 @@ func BenchStreamReplay(b *testing.B) {
 
 // BenchMultijob times the shared-fabric engine on a two-job mix: gromacs and
 // alya interleaved across the paper XGFT's leaf switches by the roundrobin
-// placement, both with the mechanism on. It measures replay.RunJobs itself —
-// placement and trace generation happen once outside the loop — so the
-// number gates the multi-job engine's merged-timeline hot path.
+// placement, both with the mechanism on. Each op opens a fresh churn session
+// and admits the mix in one batch at t=0 — exactly what a static multijob
+// run does — with placement and trace generation done once outside the
+// loop, so the number gates the multi-job engine's merged-timeline hot path.
 func BenchMultijob(b *testing.B) {
 	mix := []multijob.JobSpec{{App: "gromacs", NP: 8}, {App: "alya", NP: 8}}
 	opt := workloads.Options{IterScale: 0.1}
 	var jobs []replay.Job
 	var calls float64
 	pw := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01).Power
-	sizes := make([]int, len(mix))
-	for i, js := range mix {
-		sizes[i] = js.NP
-	}
-	terms, err := multijob.Place("roundrobin", topology.Paper(), sizes, 1)
+	order, err := multijob.Ordering("roundrobin", topology.Paper(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i, js := range mix {
+	for _, js := range mix {
 		tr, err := workloads.Generate(js.App, js.NP, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		calls += float64(tr.NumCalls())
-		jobs = append(jobs, replay.Job{Source: tr, Terminals: terms[i], Power: &pw})
+		jobs = append(jobs, replay.Job{Source: tr, Terminals: order[:js.NP], Power: &pw})
+		order = order[js.NP:]
 	}
 	cfg := replay.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.RunJobs(jobs, cfg); err != nil {
+		c, err := replay.NewChurn(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.AdmitAt(0, jobs...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -682,12 +682,10 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	res.WaitP50 = time.Duration(stats.Percentile(waits, 50) * float64(time.Second))
 	res.WaitP95 = time.Duration(stats.Percentile(waits, 95) * float64(time.Second))
 
-	// Fabric summary via the same machinery as the static multi-job run: the
-	// session's fabric-wide counters and every job's accounting, grouped by
-	// first-hop switch. A terminal occupied by several jobs over the
+	// Fabric summary: the session's fabric-wide counters and every job's
+	// accounting, grouped by first-hop switch. A terminal occupied by several jobs over the
 	// scenario contributes each job's own accounting window; killed attempts
 	// ran too, so their accounting rides along after the completed jobs.
-	transfers, bytes := session.Stats()
 	accts := make([]*replay.Result, 0, len(jobAccts)+len(st.killedAccts))
 	terms := make([][]int, 0, len(jobAccts)+len(st.killedAccts))
 	for i, a := range jobAccts {
@@ -698,14 +696,7 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	}
 	accts = append(accts, st.killedAccts...)
 	terms = append(terms, st.killedTerms...)
-	m := &replay.MultiResult{
-		MakeSpan:   makespan,
-		Transfers:  transfers,
-		BytesMoved: bytes,
-		LinkBusy:   session.LinkBusy(),
-		Jobs:       accts,
-	}
-	res.Fabric = fabricStats(fabric, m, terms)
+	res.Fabric = fabricStats(fabric, session, makespan, accts, terms)
 	res.Util = utilization(jobs, fabric.NumTerminals(), makespan)
 	if res.FaultsActive {
 		res.Capacity = capacityProfile(st.capSteps, fabric.NumTerminals(), makespan)

@@ -25,21 +25,10 @@ type FreeList struct {
 	order  []int  // policy preference order over every terminal
 	busy   []bool // terminal -> occupied
 	nfree  int
-	down   []int32 // terminal -> overlapping fault count (0 = healthy)
-	ndown  int     // terminals with down > 0
+	down   []int32       // terminal -> overlapping fault count (0 = healthy)
+	ndown  int           // terminals with down > 0
 	swBusy map[int32]int // first-hop switch -> busy terminal count
 	pool   [][]int       // recycled terminal slices
-}
-
-// Ordering returns the named placement policy's preference order over every
-// terminal of the fabric: the single block the policy produces when asked to
-// place one fabric-sized job.
-func Ordering(placement string, f topology.Fabric, seed int64) ([]int, error) {
-	terms, err := Place(placement, f, []int{f.NumTerminals()}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return terms[0], nil
 }
 
 // NewFreeList returns a fully free list over the fabric whose Alloc order is

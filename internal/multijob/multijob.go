@@ -4,25 +4,30 @@
 // cluster a job's switch neighbors shrink, displace, or (when they idle)
 // widen the link idle windows the prediction mechanism exploits.
 //
-// Each job of a mix gets its own trace, grouping threshold, predictor, and
-// rank→terminal mapping; the shared replay engine (replay.RunJobs) merges
-// every job's events into one timeline so links observe the union of
-// traffic. Where jobs land is a pluggable placement policy behind a named
-// registry mirroring the predictor and fabric registries: "linear"
-// (contiguous terminal blocks, the default), "random" (seeded shuffle of the
-// whole fabric), and "roundrobin" (jobs interleaved across first-hop
-// switches). Results are reported per job — runtime, host-link energy, hit
-// rate, and sharing overhead against a dedicated-fabric baseline of the same
-// job — and fabric-wide (per-link utilization, decomposed switch power).
+// There is one driver, RunChurn: jobs arrive over time, a scheduler admits
+// them onto a terminal free-list, and the incremental replay session
+// (replay.Churn) runs each admission batch on one live timeline, so links
+// observe the union of every job's traffic. A static job mix (Run) is the
+// special case whose jobs all arrive at t=0 and are admitted in one batch.
+// Each job gets its own trace, grouping threshold, predictor, and
+// rank→terminal mapping. Where jobs land is a pluggable placement policy
+// behind a named registry mirroring the predictor and fabric registries: a
+// policy is a preference order over every terminal, and the free-list hands
+// out the first free terminals of it — "linear" (contiguous terminal
+// blocks, the default), "random" (seeded shuffle of the whole fabric), and
+// "roundrobin" (jobs interleaved across first-hop switches). Results are
+// reported per job — runtime, host-link energy, hit rate, and sharing
+// overhead against a dedicated-fabric baseline of the same job — and
+// fabric-wide (per-link utilization, decomposed switch power).
 //
-// Everything is deterministic for a given Config: placement is a pure
-// function of (fabric, sizes, seed), the shared engine is single-threaded,
-// and the Parallelism knob only distributes independent runs (per-job
-// baselines, harness sweep cells) over the worker pool in input order.
+// Everything is deterministic for a given configuration: the ordering is a
+// pure function of (fabric, seed), the event loop and the shared engine are
+// single-threaded, and the Parallelism knob only distributes independent
+// work (per-job trace generation, GT choice and baselines, harness sweep
+// cells) over the worker pool in input order.
 package multijob
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -30,7 +35,6 @@ import (
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
-	"ibpower/internal/sweep"
 	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
@@ -52,7 +56,8 @@ type Config struct {
 	// experiment; the CLI default is the paper's conservative 1 %.
 	Displacement float64
 	// Replay carries the network parameters, fabric and predictor selection,
-	// and the Parallelism bound for the independent per-job baseline runs.
+	// and the Parallelism bound for the independent per-job preparation
+	// (trace, grouping threshold, dedicated baseline).
 	// Each job runs with Replay.Power re-armed at the job's own grouping
 	// threshold and Displacement; any other mechanism settings in the block
 	// (deep sleep, custom overheads, timeline recording, predictor tuning)
@@ -138,19 +143,22 @@ type Result struct {
 	// fabric terminal of job j's rank r.
 	Terminals [][]int
 	// Series is the shared run's streaming telemetry recorder, non-nil only
-	// when Replay.Telemetry was enabled (dedicated baselines never record).
+	// when Replay.Telemetry was enabled (dedicated baselines never record):
+	// the replay engine's series plus the queue.depth, fabric.occupied and
+	// capacity.up series every churn scenario records.
 	Series *stats.TimeSeries
 }
 
 // Run simulates the configured job mix on one shared fabric and returns
-// per-job and fabric-wide statistics. The result is deterministic for a
-// given Config at any Replay.Parallelism setting.
+// per-job and fabric-wide statistics. A static mix is a churn scenario whose
+// jobs all arrive at t=0: Run checks the mix up front — before any trace is
+// generated — then hands RunChurn one arrival per job, in input order, and a
+// scheduler that admits the whole queue, so every job lands in one
+// admission batch. The result is deterministic for a given Config at any
+// Replay.Parallelism setting.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("multijob: no jobs configured")
-	}
-	if err := CheckRegistered(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("multijob: %w", err)
 	}
 	if err := predictor.CheckRegistered(cfg.Replay.Power.PredictorName); err != nil {
 		return nil, fmt.Errorf("multijob: %w", err)
@@ -159,85 +167,40 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := cfg.Displacement
-	workers := sweep.Workers(cfg.Replay.Parallelism, len(cfg.Jobs))
-
-	// Generate every job's trace and choose its grouping threshold on the
-	// worker pool (input order, so results are parallelism-independent).
-	type prep struct {
-		src  trace.Source
-		meta trace.Meta
-		gt   time.Duration
+	total := 0
+	arrivals := make([]Arrival, len(cfg.Jobs))
+	for j, js := range cfg.Jobs {
+		total += js.NP
+		arrivals[j] = Arrival{Job: js}
 	}
-	preps, err := sweep.Map(context.Background(), workers, cfg.Jobs,
-		func(_ context.Context, _ int, js JobSpec) (prep, error) {
-			src, err := cfg.generate(js)
-			if err != nil {
-				return prep{}, err
-			}
-			gt, err := cfg.selectGT(src)
-			if err != nil {
-				return prep{}, err
-			}
-			return prep{src: src, meta: src.Meta(), gt: gt}, nil
-		})
+	if total > fabric.NumTerminals() {
+		return nil, fmt.Errorf("multijob: %d ranks exceed the %d terminals of fabric %s",
+			total, fabric.NumTerminals(), fabric.Name())
+	}
+	cr, err := RunChurn(ChurnConfig{
+		Arrivals: arrivals, Schedule: admitAll, Placement: cfg.Placement,
+		Opt: cfg.Opt, Displacement: cfg.Displacement, Replay: cfg.Replay,
+		SelectGT: cfg.SelectGT, Generate: cfg.Generate, Dedicated: cfg.Dedicated,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	sizes := make([]int, len(cfg.Jobs))
-	for j, p := range preps {
-		sizes[j] = p.meta.NP
+	res := &Result{Placement: cr.Placement, Fabric: cr.Fabric, Series: cr.Series}
+	for _, j := range cr.Jobs {
+		res.Jobs = append(res.Jobs, j.JobStats)
+		res.Terminals = append(res.Terminals, j.Terminals)
 	}
-	terms, err := Place(cfg.Placement, fabric, sizes, cfg.Opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// The shared run: every job carries its own power block (its GT), the
-	// run-level power block stays disabled.
-	rjobs := make([]replay.Job, len(cfg.Jobs))
-	pws := make([]replay.PowerConfig, len(cfg.Jobs))
-	for j, p := range preps {
-		pws[j] = cfg.jobPower(p.gt, d)
-		rjobs[j] = replay.Job{Source: p.src, Terminals: terms[j], Power: &pws[j]}
-	}
-
-	// The dedicated-fabric baselines — each job alone on the same fabric,
-	// same GT and predictor — are independent of the shared run, so they
-	// sweep on the pool while the single-threaded shared engine drains;
-	// both are pure functions of (preps, cfg), so the overlap cannot
-	// affect results.
-	type dedOut struct {
-		res []*replay.Result
-		err error
-	}
-	dedCh := make(chan dedOut, 1)
-	go func() {
-		res, err := sweep.Map(context.Background(), workers, preps,
-			func(_ context.Context, j int, p prep) (*replay.Result, error) {
-				return cfg.runDedicated(p.src, p.gt, d)
-			})
-		dedCh <- dedOut{res: res, err: err}
-	}()
-	shared, err := replay.RunJobs(rjobs, cfg.Replay)
-	ded := <-dedCh
-	if err != nil {
-		return nil, err
-	}
-	if ded.err != nil {
-		return nil, ded.err
-	}
-
-	res := &Result{Placement: placementName(cfg.Placement), Terminals: terms}
-	predName := predictorName(cfg.Replay.Power.PredictorName)
-	for j, p := range preps {
-		res.Jobs = append(res.Jobs, jobStats(fabric, p.meta.App, p.meta.NP, predName, p.gt,
-			shared.Jobs[j], ded.res[j], terms[j]))
-	}
-	res.Fabric = fabricStats(fabric, shared, terms)
-	res.Series = shared.Series
 	return res, nil
+}
+
+// admitAll is the static mix's scheduler: it admits the whole queue, in
+// arrival order, at the first event.
+func admitAll(ctx *SchedContext) []int {
+	picks := make([]int, len(ctx.Queue))
+	for i := range picks {
+		picks[i] = i
+	}
+	return picks
 }
 
 // jobStats folds one job's shared-fabric replay result and its
@@ -296,9 +259,6 @@ func (c Config) runDedicated(src trace.Source, gt time.Duration, d float64) (*re
 	}
 	bcfg := c.Replay
 	bcfg.Power = JobPower(c.Replay, gt, d)
-	// Telemetry belongs to the shared run; a baseline recording its own
-	// series would be thrown away with the baseline's MultiResult.
-	bcfg.Telemetry = replay.TelemetryConfig{}
 	return replay.RunSource(src, bcfg)
 }
 
@@ -322,10 +282,6 @@ func JobPower(rc replay.Config, gt time.Duration, d float64) replay.PowerConfig 
 		pw.Predictor.Treact = power.Treact
 	}
 	return pw
-}
-
-func (c Config) jobPower(gt time.Duration, d float64) replay.PowerConfig {
-	return JobPower(c.Replay, gt, d)
 }
 
 func placementName(name string) string {
@@ -352,22 +308,20 @@ func countSwitches(f topology.Fabric, terms []int) int {
 	return len(seen)
 }
 
-// fabricStats summarises link utilization and fabric-wide power over the
-// shared run.
-func fabricStats(f topology.Fabric, m *replay.MultiResult, terms [][]int) FabricStats {
-	fs := FabricStats{
-		Fabric:     f.Name(),
-		MakeSpan:   m.MakeSpan,
-		Transfers:  m.Transfers,
-		BytesMoved: m.BytesMoved,
-	}
+// fabricStats summarises link utilization and fabric-wide power over a
+// shared session: its fabric-wide counters and link occupancy, and every
+// admitted job's result accts[i] on the terminals terms[i].
+func fabricStats(f topology.Fabric, session *replay.Churn, makespan time.Duration,
+	accts []*replay.Result, terms [][]int) FabricStats {
+	fs := FabricStats{Fabric: f.Name(), MakeSpan: makespan}
+	fs.Transfers, fs.BytesMoved = session.Stats()
 	var mean, maxU float64
-	for _, busy := range m.LinkBusy {
+	for _, busy := range session.LinkBusy() {
 		if busy <= 0 {
 			continue
 		}
 		fs.LinksUsed++
-		u := 100 * float64(busy) / float64(m.MakeSpan)
+		u := 100 * float64(busy) / float64(makespan)
 		mean += u
 		if u > maxU {
 			maxU = u
@@ -385,11 +339,11 @@ func fabricStats(f topology.Fabric, m *replay.MultiResult, terms [][]int) Fabric
 	var flatAccts []power.Accounting
 	for j, ts := range terms {
 		for r, t := range ts {
-			if r >= len(m.Jobs[j].Acct) {
+			if r >= len(accts[j].Acct) {
 				continue // job ran without the mechanism
 			}
 			flatTerms = append(flatTerms, t)
-			flatAccts = append(flatAccts, m.Jobs[j].Acct[r])
+			flatAccts = append(flatAccts, accts[j].Acct[r])
 		}
 	}
 	fs.SavingPct = FabricSavingPct(f, flatTerms, flatAccts)

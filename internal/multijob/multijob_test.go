@@ -2,11 +2,14 @@ package multijob
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ibpower/internal/replay"
+	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -142,5 +145,30 @@ func TestRunErrors(t *testing.T) {
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), mutate.want) {
 			t.Errorf("%s: error %v, want substring %q", name, err, mutate.want)
 		}
+	}
+}
+
+// TestRunRejectsOversizeMixUpFront asserts a mix with more ranks than the
+// fabric has terminals fails on the capacity check alone: no trace is
+// generated, no grouping threshold chosen and no baseline replayed, so an
+// impossible request costs nothing however large it is.
+func TestRunRejectsOversizeMixUpFront(t *testing.T) {
+	cfg := testConfig()
+	cfg.Jobs = []JobSpec{{App: "alya", NP: 100000}}
+	cfg.Generate = func(app string, np int) (trace.Source, error) {
+		t.Errorf("Generate(%s, %d) called for an oversize mix", app, np)
+		return nil, fmt.Errorf("unreachable")
+	}
+	cfg.SelectGT = func(trace.Source) (time.Duration, error) {
+		t.Error("SelectGT called for an oversize mix")
+		return 0, fmt.Errorf("unreachable")
+	}
+	cfg.Dedicated = func(trace.Source, time.Duration, float64) (*replay.Result, error) {
+		t.Error("Dedicated called for an oversize mix")
+		return nil, fmt.Errorf("unreachable")
+	}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "100000 ranks exceed the 252 terminals") {
+		t.Errorf("error %v, want the ranks-exceed-terminals complaint", err)
 	}
 }

@@ -1,20 +1,21 @@
 package multijob
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ibpower/internal/registry"
 	"ibpower/internal/topology"
 )
 
-// PlaceFunc assigns fabric terminals to jobs: given the fabric and the
-// per-job rank counts, it returns one terminal slice per job
-// (result[j][r] is the terminal of job j's rank r). Implementations may
-// assume sum(sizes) <= f.NumTerminals() — Place checks it — and must be
-// deterministic for a given (fabric, sizes, seed): placement is part of the
-// simulation's reproducibility contract.
-type PlaceFunc func(f topology.Fabric, sizes []int, seed int64) ([][]int, error)
+// PlaceFunc is a placement policy: given the fabric, it returns a preference
+// order over every terminal — a permutation of 0..NumTerminals()-1 — that
+// the terminal free-list allocates from, first free terminal first. A static
+// job mix therefore lands on consecutive blocks of the order, and a churn
+// scenario's arrivals on the first free terminals of it. The order must be
+// deterministic for a given (fabric, seed): placement is part of the
+// simulation's reproducibility contract. NewFreeList rejects an order that
+// is not a permutation.
+type PlaceFunc func(f topology.Fabric, seed int64) []int
 
 // DefaultPlacement is the registry entry used when no policy is named:
 // contiguous terminal blocks, the way batch schedulers fill an idle machine.
@@ -34,66 +35,14 @@ func Names() []string { return placements.Names() }
 // typo'd -placement flag tells the user what would have worked.
 func CheckRegistered(name string) error { return placements.Check(name) }
 
-// Place resolves the named policy and maps the jobs onto the fabric. It
-// enforces the invariants every policy must deliver: the job set fits the
-// fabric, every rank gets a terminal, and no two ranks — of any job — share
-// one.
-func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
-	fn, err := placements.Get(name)
+// Ordering returns the named placement policy's preference order over every
+// terminal of the fabric (the empty name selects DefaultPlacement).
+func Ordering(placement string, f topology.Fabric, seed int64) ([]int, error) {
+	fn, err := placements.Get(placement)
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
-	if total > f.NumTerminals() {
-		return nil, fmt.Errorf("multijob: %d ranks exceed the %d terminals of fabric %s",
-			total, f.NumTerminals(), f.Name())
-	}
-	terms, err := fn(f, sizes, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPlacement(f, sizes, terms); err != nil {
-		return nil, fmt.Errorf("multijob: policy %q broke its contract: %w", name, err)
-	}
-	return terms, nil
-}
-
-// checkPlacement verifies the placement invariants (the same ones
-// replay.RunJobs re-checks before simulating).
-func checkPlacement(f topology.Fabric, sizes []int, terms [][]int) error {
-	if len(terms) != len(sizes) {
-		return fmt.Errorf("placed %d jobs, want %d", len(terms), len(sizes))
-	}
-	seen := make(map[int]bool)
-	for j, ts := range terms {
-		if len(ts) != sizes[j] {
-			return fmt.Errorf("job %d: %d terminals for %d ranks", j, len(ts), sizes[j])
-		}
-		for r, t := range ts {
-			if t < 0 || t >= f.NumTerminals() {
-				return fmt.Errorf("job %d rank %d: terminal %d out of range", j, r, t)
-			}
-			if seen[t] {
-				return fmt.Errorf("terminal %d assigned twice", t)
-			}
-			seen[t] = true
-		}
-	}
-	return nil
-}
-
-// blocks cuts a terminal ordering into per-job slices.
-func blocks(order []int, sizes []int) [][]int {
-	terms := make([][]int, len(sizes))
-	next := 0
-	for j, n := range sizes {
-		terms[j] = append([]int(nil), order[next:next+n]...)
-		next += n
-	}
-	return terms
+	return fn(f, seed), nil
 }
 
 // The preset registry.
@@ -103,25 +52,24 @@ func init() {
 	// switch neighborhood to itself — the friendliest sharing for the idle
 	// predictor, and the policy a slurm-style scheduler approximates on an
 	// empty machine.
-	Register("linear", func(f topology.Fabric, sizes []int, _ int64) ([][]int, error) {
+	Register("linear", func(f topology.Fabric, _ int64) []int {
 		order := make([]int, f.NumTerminals())
 		for t := range order {
 			order[t] = t
 		}
-		return blocks(order, sizes), nil
+		return order
 	})
 	// random: a seeded shuffle of all terminals, consumed in job order — the
 	// fragmented machine after months of job churn. Deterministic per seed.
-	Register("random", func(f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
-		order := rand.New(rand.NewSource(seed)).Perm(f.NumTerminals())
-		return blocks(order, sizes), nil
+	Register("random", func(f topology.Fabric, seed int64) []int {
+		return rand.New(rand.NewSource(seed)).Perm(f.NumTerminals())
 	})
 	// roundrobin: terminals are consumed by cycling over the first-hop
 	// switches, so consecutive ranks — and the jobs themselves — interleave
 	// across the whole edge of the fabric. Every switch hosts a slice of
 	// every job: maximum neighbor diversity, the adversarial case for
 	// idle-window prediction.
-	Register("roundrobin", func(f topology.Fabric, sizes []int, _ int64) ([][]int, error) {
+	Register("roundrobin", func(f topology.Fabric, _ int64) []int {
 		groups := make(map[int32][]int)
 		var sw []int32 // first-hop switch node IDs in first-appearance order
 		for t := 0; t < f.NumTerminals(); t++ {
@@ -139,6 +87,6 @@ func init() {
 				}
 			}
 		}
-		return blocks(order, sizes), nil
+		return order
 	})
 }

@@ -29,8 +29,8 @@ import (
 // lifetime overlaps its own), while earlier jobs are unaffected by later
 // arrivals — the one-pass analogue of a batch system in which running jobs
 // have priority over newcomers. Jobs admitted in the same batch interleave
-// on the work list and contend bidirectionally; RunJobs is exactly one such
-// batch at t=0.
+// on the work list and contend bidirectionally; a static job mix
+// (multijob.Run) is exactly one such batch at t=0.
 //
 // The session is single-threaded and deterministic: the result sequence is
 // a pure function of the admission sequence and Config.
@@ -150,7 +150,7 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 }
 
 // admit is the one path from a batch of placed jobs onto the fabric, shared
-// by AdmitAt and RunJobs: it validates every source, placement and power
+// by AdmitAt and RunSource: it validates every source, placement and power
 // block, adds the jobs' ranks at start, drains them and collects one Result
 // per job. label names rank r's recorded timeline, given the job's session
 // index and application.

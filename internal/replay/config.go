@@ -54,7 +54,7 @@ type Config struct {
 	Power      PowerConfig
 
 	// Telemetry opts the run into streaming time-series recording
-	// (Result.Series / MultiResult.Series). Off by default; enabling it is
+	// (Result.Series / Churn.Telemetry). Off by default; enabling it is
 	// purely observational and changes no simulated result.
 	Telemetry TelemetryConfig
 

@@ -150,9 +150,8 @@ func (e *engine) pair(k pairKey) *pairQueues {
 
 // Run replays the trace under cfg and returns the measured result. The
 // single job occupies terminals 0..NP-1 of the fabric, exactly as before the
-// engine learned to share its fabric between jobs (RunJobs); results are
-// bit-identical to that dedicated-fabric engine. All validation (trace,
-// network, registries, capacity) happens on RunJobs' admission path.
+// engine learned to share its fabric between jobs; results are bit-identical
+// to that dedicated-fabric engine.
 func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	return RunSource(tr, cfg)
 }
@@ -160,15 +159,34 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 // RunSource replays a streaming trace source under cfg: the single-job
 // counterpart of Run for traces that are generated on the fly or read from a
 // packed trace file through bounded windows. For an in-memory *Trace it is
-// exactly Run.
+// exactly Run. It is one Churn session with a single admission at t=0 on
+// terminals 0..NP-1, so all validation (trace, network, registries,
+// placement) happens on the session's admission path.
 func RunSource(src trace.Source, cfg Config) (*Result, error) {
-	mr, err := RunJobs([]Job{{Source: src}}, cfg)
+	c, err := NewChurn(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := mr.Jobs[0]
-	res.Series = mr.Series
-	return res, nil
+	job := Job{Source: src}
+	if src != nil {
+		np := src.Meta().NP
+		if np > len(c.term) {
+			return nil, fmt.Errorf("replay: fabric %s has %d terminals, need %d",
+				c.topo.Name(), len(c.term), np)
+		}
+		job.Terminals = make([]int, max(np, 0))
+		for r := range job.Terminals {
+			job.Terminals[r] = r
+		}
+	}
+	res, err := c.admit(0, []Job{job}, func(_ int, _ string, r int) string {
+		return fmt.Sprintf("rank %d", r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res[0].Series = c.Telemetry()
+	return res[0], nil
 }
 
 // addJob appends one job's ranks to the engine, each starting its clock at

@@ -110,20 +110,18 @@ func TestRunOnBigPresets(t *testing.T) {
 		for r := range terms {
 			terms[r] = r * stride
 		}
-		res, err := RunJobs([]Job{{Source: tr, Terminals: terms, Power: &pw}},
-			DefaultConfig().WithFabric(name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		job := res.Jobs[0]
+		c, res := admitOnce(t, DefaultConfig().WithFabric(name),
+			Job{Source: tr, Terminals: terms, Power: &pw})
+		job := res[0]
 		if job.ExecTime <= 0 || job.Transfers == 0 {
 			t.Errorf("%s: implausible result %+v", name, job)
 		}
-		if len(res.LinkBusy) != f.NumLinks() {
-			t.Errorf("%s: LinkBusy over %d links, want %d", name, len(res.LinkBusy), f.NumLinks())
+		linkBusy := c.LinkBusy()
+		if len(linkBusy) != f.NumLinks() {
+			t.Errorf("%s: LinkBusy over %d links, want %d", name, len(linkBusy), f.NumLinks())
 		}
 		busy := 0
-		for _, b := range res.LinkBusy {
+		for _, b := range linkBusy {
 			if b > 0 {
 				busy++
 			}

@@ -19,92 +19,79 @@ func genTrace(t *testing.T, app string, np int) *trace.Trace {
 	return tr
 }
 
-// TestRunJobsSingleJobMatchesRun proves the explicit-placement path is the
-// same simulation Run performs: one job on the identity placement must give
-// the exact Result, field for field.
-func TestRunJobsSingleJobMatchesRun(t *testing.T) {
-	tr := genTrace(t, "alya", 8)
-	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
-
-	want, err := Run(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
+// linearJobs places the sources on consecutive terminal blocks from terminal
+// 0, in order — the linear placement of a static job mix.
+func linearJobs(srcs ...trace.Source) []Job {
+	jobs := make([]Job, len(srcs))
+	next := 0
+	for j, src := range srcs {
+		np := src.Meta().NP
+		jobs[j] = Job{Source: src, Terminals: identTerms(next + np)[next:]}
+		next += np
 	}
-	ident := make([]int, tr.NP)
-	for i := range ident {
-		ident[i] = i
-	}
-	got, err := RunJobs([]Job{{Source: tr, Terminals: ident}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Jobs[0], want) {
-		t.Errorf("explicit identity placement diverged from Run:\n got %+v\nwant %+v",
-			got.Jobs[0], want)
-	}
-	if got.MakeSpan != want.ExecTime {
-		t.Errorf("MakeSpan = %v, want %v", got.MakeSpan, want.ExecTime)
-	}
-	if got.Transfers != want.Transfers || got.BytesMoved != want.BytesMoved {
-		t.Errorf("fabric counters (%d, %d) != job counters (%d, %d)",
-			got.Transfers, got.BytesMoved, want.Transfers, want.BytesMoved)
-	}
+	return jobs
 }
 
-// TestRunJobsDeterministic asserts a two-job shared-fabric replay is a pure
-// function of its inputs: repeated runs must agree bit for bit.
+// admitOnce opens a fresh session and admits every job in one batch at t=0:
+// a static job mix sharing the fabric from the start.
+func admitOnce(t *testing.T, cfg Config, jobs ...Job) (*Churn, []*Result) {
+	t.Helper()
+	c, err := NewChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.AdmitAt(0, jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, res
+}
+
+// TestRunJobsDeterministic asserts a two-job shared-fabric admission is a
+// pure function of its inputs: repeated sessions must agree bit for bit, per
+// job and fabric-wide.
 func TestRunJobsDeterministic(t *testing.T) {
-	jobs := []Job{
-		{Source: genTrace(t, "gromacs", 8)},
-		{Source: genTrace(t, "alya", 8)},
-	}
+	jobs := linearJobs(genTrace(t, "gromacs", 8), genTrace(t, "alya", 8))
 	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
-	a, err := RunJobs(jobs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunJobs(jobs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ca, a := admitOnce(t, cfg, jobs...)
+	cb, b := admitOnce(t, cfg, jobs...)
 	if !reflect.DeepEqual(a, b) {
-		t.Error("two identical RunJobs calls disagreed")
+		t.Error("two identical admissions disagreed")
+	}
+	if !reflect.DeepEqual(ca.LinkBusy(), cb.LinkBusy()) {
+		t.Error("two identical admissions left different link occupancy")
 	}
 }
 
 // TestRunJobsScopesJobs asserts collectives and point-to-point matching stay
-// inside each job: two jobs full of barriers and allreduces must both drain
-// (cross-job matching would deadlock or corrupt the schedule), and the
-// fabric-wide counters must be the union of the per-job ones.
+// inside each job of one admission: two jobs full of barriers and allreduces
+// must both drain (cross-job matching would deadlock or corrupt the
+// schedule), and the session's fabric-wide counters must be the union of the
+// per-job ones.
 func TestRunJobsScopesJobs(t *testing.T) {
-	jobs := []Job{
-		{Source: genTrace(t, "nasbt", 9)},
-		{Source: genTrace(t, "nasmg", 8)},
-	}
-	m, err := RunJobs(jobs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Jobs) != 2 {
-		t.Fatalf("got %d job results, want 2", len(m.Jobs))
+	jobs := linearJobs(genTrace(t, "nasbt", 9), genTrace(t, "nasmg", 8))
+	c, res := admitOnce(t, DefaultConfig(), jobs...)
+	if len(res) != 2 {
+		t.Fatalf("got %d job results, want 2", len(res))
 	}
 	sumT, sumB := 0, int64(0)
-	for j, res := range m.Jobs {
-		if res.ExecTime <= 0 {
-			t.Errorf("job %d: non-positive exec time %v", j, res.ExecTime)
+	for j, r := range res {
+		if r.ExecTime <= 0 {
+			t.Errorf("job %d: non-positive exec time %v", j, r.ExecTime)
 		}
-		if len(res.RankFinish) != jobs[j].Source.Meta().NP {
-			t.Errorf("job %d: %d rank finishes, want %d", j, len(res.RankFinish), jobs[j].Source.Meta().NP)
+		if len(r.RankFinish) != jobs[j].Source.Meta().NP {
+			t.Errorf("job %d: %d rank finishes, want %d", j, len(r.RankFinish), jobs[j].Source.Meta().NP)
 		}
-		sumT += res.Transfers
-		sumB += res.BytesMoved
+		sumT += r.Transfers
+		sumB += r.BytesMoved
 	}
-	if sumT != m.Transfers || sumB != m.BytesMoved {
+	transfers, bytes := c.Stats()
+	if sumT != transfers || sumB != bytes {
 		t.Errorf("per-job traffic (%d, %d) does not sum to fabric traffic (%d, %d)",
-			sumT, sumB, m.Transfers, m.BytesMoved)
+			sumT, sumB, transfers, bytes)
 	}
 	var busy time.Duration
-	for _, d := range m.LinkBusy {
+	for _, d := range c.LinkBusy() {
 		busy += d
 	}
 	if busy <= 0 {
@@ -112,55 +99,24 @@ func TestRunJobsScopesJobs(t *testing.T) {
 	}
 }
 
-// TestRunJobsPerJobPower asserts each job carries its own power
+// TestRunJobsPerJobPower asserts each admitted job carries its own power
 // configuration: a powered job reports accounting while its unpowered
 // neighbor on the same fabric reports none.
 func TestRunJobsPerJobPower(t *testing.T) {
 	on := DefaultConfig().WithPower(20*time.Microsecond, 0.01).Power
-	jobs := []Job{
-		{Source: genTrace(t, "alya", 8), Power: &on},
-		{Source: genTrace(t, "wrf", 8)},
+	jobs := linearJobs(genTrace(t, "alya", 8), genTrace(t, "wrf", 8))
+	jobs[0].Power = &on
+	_, res := admitOnce(t, DefaultConfig(), jobs...)
+	if len(res[0].Acct) != 8 {
+		t.Errorf("powered job has %d accountings, want 8", len(res[0].Acct))
 	}
-	m, err := RunJobs(jobs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Jobs[0].Acct) != 8 {
-		t.Errorf("powered job has %d accountings, want 8", len(m.Jobs[0].Acct))
-	}
-	if len(m.Jobs[1].Acct) != 0 {
-		t.Errorf("unpowered job has %d accountings, want 0", len(m.Jobs[1].Acct))
+	if len(res[1].Acct) != 0 {
+		t.Errorf("unpowered job has %d accountings, want 0", len(res[1].Acct))
 	}
 }
 
-// TestRunJobsAutoPlacementFillsGaps pins the nil-Terminals contract when
-// mixed with explicit placements: automatic jobs take the lowest *free*
-// terminals, so an explicit job parked at the top of the fabric cannot push
-// an automatic one out of range while terminals remain (regression: the
-// first implementation continued after the highest explicit terminal and
-// spuriously overflowed the fabric).
-func TestRunJobsAutoPlacementFillsGaps(t *testing.T) {
-	tr := genTrace(t, "alya", 8)
-	cfg := DefaultConfig()
-	topo, err := cfg.Fabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nt := topo.NumTerminals()
-	top := make([]int, 8) // explicit block ending on the last terminal
-	for i := range top {
-		top[i] = nt - 8 + i
-	}
-	m, err := RunJobs([]Job{{Source: tr, Terminals: top}, {Source: tr}}, cfg)
-	if err != nil {
-		t.Fatalf("auto placement overflowed despite %d free terminals: %v", nt-8, err)
-	}
-	if len(m.Jobs) != 2 {
-		t.Fatalf("got %d jobs", len(m.Jobs))
-	}
-}
-
-// TestRunJobsValidation covers the placement error paths.
+// TestRunJobsValidation covers the admission and single-job capacity error
+// paths.
 func TestRunJobsValidation(t *testing.T) {
 	tr := genTrace(t, "alya", 8)
 	cfg := DefaultConfig()
@@ -181,21 +137,26 @@ func TestRunJobsValidation(t *testing.T) {
 		{"wrong length", []Job{
 			{Source: tr, Terminals: []int{0, 1}},
 		}, "2 terminals for 8 ranks"},
+		{"unplaced", []Job{{Source: tr}}, "0 terminals for 8 ranks"},
 		{"nil trace", []Job{{}}, "no trace"},
 	}
 	for _, c := range cases {
-		_, err := RunJobs(c.jobs, cfg)
+		s, err := NewChurn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.AdmitAt(0, c.jobs...)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want substring %q", c.name, err, c.want)
 		}
 	}
 
-	// More ranks than terminals.
-	big := make([]Job, 0, 40)
-	for i := 0; i < 40; i++ {
-		big = append(big, Job{Source: tr})
-	}
-	if _, err := RunJobs(big, cfg); err == nil || !strings.Contains(err.Error(), "terminals") {
+	// A single job with more ranks than the fabric has terminals.
+	if _, err := RunSource(trace.New("alya", 400), cfg); err == nil ||
+		!strings.Contains(err.Error(), "has 252 terminals, need 400") {
 		t.Errorf("overcommitted fabric: error %v, want terminal-count complaint", err)
+	}
+	if _, err := RunSource(nil, cfg); err == nil || !strings.Contains(err.Error(), "no trace") {
+		t.Errorf("nil source: error %v, want no trace", err)
 	}
 }

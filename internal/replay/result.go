@@ -30,7 +30,8 @@ type Result struct {
 
 	// Series is the run's streaming telemetry recorder, non-nil only when
 	// Config.Telemetry was enabled on a single-job run (the recorder is
-	// fabric-wide; multi-job runs expose it on MultiResult instead).
+	// fabric-wide; a Churn session exposes it through Churn.Telemetry
+	// instead).
 	Series *stats.TimeSeries
 }
 

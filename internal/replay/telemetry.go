@@ -20,7 +20,7 @@ const (
 // TelemetryConfig opts a run into streaming time-series telemetry. It is
 // purely observational: every hook records state the simulation already
 // computes, so enabling it changes no simulated result and no rendered
-// output — only Result.Series/MultiResult.Series become non-nil.
+// output — only Result.Series and Churn.Telemetry become non-nil.
 type TelemetryConfig struct {
 	Enabled bool
 	// Tick is the initial bucket width; <= 0 selects DefaultTelemetryTick.
