@@ -245,7 +245,8 @@ func BenchmarkAblationNetFidelity(b *testing.B) {
 }
 
 // BenchmarkAblationOracleVsPPA bounds the prediction loss: the oracle knows
-// every idle interval exactly.
+// every idle interval exactly. Both run on the same offline driver with the
+// same overhead model, so the gap between them is prediction alone.
 func BenchmarkAblationOracleVsPPA(b *testing.B) {
 	tr, err := workloads.Generate("nasbt", 16, benchOpt)
 	if err != nil {
@@ -265,7 +266,7 @@ func BenchmarkAblationOracleVsPPA(b *testing.B) {
 	})
 	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := predictor.RunOfflineOracle(tr, cfg)
+			res, err := predictor.RunOfflineNamed("oracle", tr, cfg, predictor.DefaultOverheads())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -432,6 +432,11 @@ func cmdGT(args []string) error {
 	if err := checkFlags(opt, *pred, *topo); err != nil {
 		return err
 	}
+	npSet := false
+	fs.Visit(func(f *flag.Flag) { npSet = npSet || f.Name == "np" })
+	if npSet && *app == "" {
+		return fmt.Errorf("gt: -np needs -app (without -app, gt prints Table III for every app and process count)")
+	}
 	if *app == "" {
 		// Table III: GT selection always scores the reference n-gram
 		// predictor (see harness.ChooseGT); -predictor is validated only.

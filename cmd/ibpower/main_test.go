@@ -126,6 +126,18 @@ func TestScenarioRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestGTRejectsBadFlags asserts gt refuses flag combinations it would
+// otherwise silently ignore: -np only filters an -app sweep, so -np alone
+// must fail naming both flags instead of printing every Table III row.
+func TestGTRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-np", "1"}, {"-np", "64"}, {"-np", "16", "-app", ""}} {
+		err := cmdGT(args)
+		if err == nil || !strings.Contains(err.Error(), "-np") || !strings.Contains(err.Error(), "-app") {
+			t.Errorf("gt %v: error %v, want a complaint naming -np and -app", args, err)
+		}
+	}
+}
+
 // TestBadScaleRejectedEverywhere asserts every subcommand that registers
 // -scale rejects a value that is not a finite number > 0 before any work,
 // with an error naming the flag: -scale 0 must not silently mean full scale,

@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
-	"ibpower/internal/sweep"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
@@ -83,23 +81,33 @@ func GTSweepParallel(src trace.Source, gts []time.Duration, workers int) ([]GTSw
 // (detector-based for the n-gram PPA, resolved-prediction-based for the
 // baselines), evaluated on the network-free offline runner.
 func GTSweepNamed(src trace.Source, name string, gts []time.Duration, workers int) ([]GTSweepPoint, error) {
+	res, err := runGrid(src, name, gts, workers)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]GTSweepPoint, len(res))
+	for i, r := range res {
+		pts[i] = GTSweepPoint{GT: gts[i], HitRatePct: r.AvgHitRatePct()}
+	}
+	return pts, nil
+}
+
+// runGrid runs the offline mechanism at every threshold of the grid in one
+// pass per rank, ranks on a pool of at most workers goroutines. Results
+// fold in rank order, so they are identical at every pool size.
+func runGrid(src trace.Source, name string, gts []time.Duration, workers int) ([]*predictor.OfflineResult, error) {
 	if err := validateGrid(gts); err != nil {
 		return nil, err
 	}
-	return sweep.Map(context.Background(), workers, gts,
-		func(_ context.Context, _ int, gt time.Duration) (GTSweepPoint, error) {
-			res, err := predictor.RunOfflineNamed(name, src,
-				predictor.Config{GT: gt, Displacement: 0.01}, predictor.DefaultOverheads())
-			if err != nil {
-				return GTSweepPoint{}, err
-			}
-			return GTSweepPoint{GT: gt, HitRatePct: res.AvgHitRatePct()}, nil
-		})
+	cfgs := make([]predictor.Config, len(gts))
+	for i, gt := range gts {
+		cfgs[i] = predictor.Config{GT: gt, Displacement: 0.01}
+	}
+	return predictor.RunOfflineGrid(name, src, cfgs, predictor.DefaultOverheads(), workers)
 }
 
-// validateGrid rejects sub-minimum thresholds before any simulation is
-// submitted to the pool, so an invalid grid fails fast instead of after up
-// to a pool's worth of offline runs.
+// validateGrid rejects sub-minimum thresholds before any simulation runs,
+// so an invalid grid fails fast instead of after a pass over the trace.
 func validateGrid(gts []time.Duration) error {
 	for _, gt := range gts {
 		if gt < GTMin {
@@ -136,10 +144,10 @@ func ChooseGT(src trace.Source, grid []time.Duration, tolPct float64) (time.Dura
 	return chooseGT(src, grid, tolPct, 1)
 }
 
-// ChooseGTParallel is ChooseGT with the grid evaluated on a pool of at most
-// workers goroutines (0 selects GOMAXPROCS). The selection is made over the
-// complete score vector in grid order, so the chosen GT is identical at
-// every pool size.
+// ChooseGTParallel is ChooseGT with the grid's ranks evaluated on a pool
+// of at most workers goroutines (0 selects GOMAXPROCS). The selection is
+// made over the complete score vector in grid order, so the chosen GT is
+// identical at every pool size.
 func ChooseGTParallel(src trace.Source, grid []time.Duration, tolPct float64, workers int) (time.Duration, float64, error) {
 	return chooseGT(src, grid, tolPct, workers)
 }
@@ -151,24 +159,22 @@ type gtPoint struct {
 	hit   float64
 }
 
-// gtScores evaluates every grid threshold on the pool.
+// gtScores evaluates every grid threshold in one pass per rank (runGrid).
 func gtScores(src trace.Source, grid []time.Duration, workers int) ([]gtPoint, error) {
 	// delayWeight penalises realized reactivation delay: a microsecond of
 	// added execution time costs far more than a microsecond of missed
 	// low-power opportunity (it propagates between processes).
 	const delayWeight = 20
-	if err := validateGrid(grid); err != nil {
+	res, err := runGrid(src, predictor.DefaultName, grid, workers)
+	if err != nil {
 		return nil, err
 	}
-	return sweep.Map(context.Background(), workers, grid,
-		func(_ context.Context, _ int, gt time.Duration) (gtPoint, error) {
-			res, err := predictor.RunOffline(src, predictor.Config{GT: gt, Displacement: 0.01})
-			if err != nil {
-				return gtPoint{}, err
-			}
-			score := float64(res.TotalLow()) - delayWeight*float64(res.Delay)
-			return gtPoint{gt: gt, score: score, hit: res.AvgHitRatePct()}, nil
-		})
+	pts := make([]gtPoint, len(res))
+	for i, r := range res {
+		score := float64(r.TotalLow()) - delayWeight*float64(r.Delay)
+		pts[i] = gtPoint{gt: grid[i], score: score, hit: r.AvgHitRatePct()}
+	}
+	return pts, nil
 }
 
 func chooseGT(src trace.Source, grid []time.Duration, tolPct float64, workers int) (time.Duration, float64, error) {

@@ -162,8 +162,8 @@ func (r *Runner) chooseGT(app string, np int, opt workloads.Options, tolPct floa
 			e.err = err
 			return
 		}
-		// Serial over the grid: the point sweep above already saturates the
-		// pool, and nested parallelism would oversubscribe it.
+		// Serial over the ranks: the point sweep above already saturates
+		// the pool, and nested parallelism would oversubscribe it.
 		e.gt, e.hit, e.err = ChooseGT(src, DefaultGTGrid(), tolPct)
 	})
 	return e.gt, e.hit, e.err

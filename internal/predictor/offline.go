@@ -1,9 +1,11 @@
 package predictor
 
 import (
+	"context"
 	"time"
 
 	"ibpower/internal/power"
+	"ibpower/internal/sweep"
 	"ibpower/internal/trace"
 )
 
@@ -14,7 +16,8 @@ import (
 // overhead insertion matters: a PPA invocation stretches the gap that
 // follows it, which can push a gram-internal gap across the grouping
 // threshold, so GT selection must see the same timing as the full replay.
-// This is the fast path used for the GT sweeps of Table III and Figure 10.
+// It is the one-config case of RunOfflineGrid, which the GT sweeps of
+// Table III and Figure 10 call with the whole grid.
 func RunOffline(src trace.Source, cfg Config) (*OfflineResult, error) {
 	return RunOfflineOverheads(src, cfg, DefaultOverheads())
 }
@@ -53,47 +56,99 @@ func RunOfflineOverheads(src trace.Source, cfg Config, ov OverheadModel) (*Offli
 // that never set Action.PPAInvoked are charged only the interception
 // overhead per call.
 func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel) (*OfflineResult, error) {
-	m := src.Meta()
-	out := &OfflineResult{
-		Stats: make([]Stats, m.NP),
-		Acct:  make([]power.Accounting, m.NP),
+	out, err := RunOfflineGrid(name, src, []Config{cfg}, ov, 1)
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < m.NP; r++ {
-		p, err := NewForRank(name, cfg, src, r)
-		if err != nil {
-			return nil, err
-		}
-		ctrl := power.NewController(cfg.Treact)
-		var t time.Duration
-		cur := src.Open(r)
-		for {
-			op, ok := cur.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
-			case trace.OpCompute:
-				t += op.Duration
-			case trace.OpCall:
-				// The link is acquired at call entry: with no network, that
-				// is the only point a demand wake can be paid.
-				t = ctrl.Acquire(t + ov.Interception)
-				t = Step(p, ctrl, ov, EventID(op.Call), t, t)
-			}
-		}
-		if err := cur.Err(); err != nil {
-			return nil, err
-		}
-		p.Flush()
-		ctrl.Finish(t)
-		out.Stats[r] = p.Stats()
-		out.Acct[r] = ctrl.Accounting()
-		out.Delay += ctrl.TotalDelay
-		if t > out.Exec {
-			out.Exec = t
+	return out[0], nil
+}
+
+// RunOfflineGrid is RunOfflineNamed for every config of cfgs in one pass:
+// each rank's cursor is opened once and each op decoded once, advancing one
+// predictor and one link power controller per config. Ranks run on a pool
+// of at most workers goroutines (0 selects GOMAXPROCS, 1 is serial) and
+// fold in rank order, so out[i] equals RunOfflineNamed(name, src, cfgs[i],
+// ov) at every pool size.
+func RunOfflineGrid(name string, src trace.Source, cfgs []Config, ov OverheadModel, workers int) ([]*OfflineResult, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	np := src.Meta().NP
+	out := make([]*OfflineResult, len(cfgs))
+	for i := range out {
+		out[i] = &OfflineResult{Stats: make([]Stats, np), Acct: make([]power.Accounting, np)}
+	}
+	ranks, err := sweep.Map(context.Background(), workers, make([]struct{}, np),
+		func(_ context.Context, r int, _ struct{}) ([]lane, error) {
+			return runRank(name, src, r, cfgs, ov, out)
+		})
+	if err != nil {
+		return nil, err
+	}
+	for _, lanes := range ranks {
+		for i, l := range lanes {
+			out[i].Delay += l.ctrl.TotalDelay
+			out[i].Exec = max(out[i].Exec, l.t)
 		}
 	}
 	return out, nil
+}
+
+// lane is one config's predictor, controller and clock on one rank.
+type lane struct {
+	p    Predictor
+	ctrl *power.Controller
+	t    time.Duration
+}
+
+// runRank drives rank r under every config in lockstep, stores each
+// config's statistics and accounting at index r of out (ranks never share
+// an index, so pool workers need no lock), and returns the finished lanes.
+func runRank(name string, src trace.Source, r int, cfgs []Config, ov OverheadModel, out []*OfflineResult) ([]lane, error) {
+	ps, ops, primed, err := newForRank(name, cfgs, src, r)
+	if err != nil {
+		return nil, err
+	}
+	lanes := make([]lane, len(cfgs))
+	for i, p := range ps {
+		lanes[i] = lane{p: p, ctrl: power.NewController(cfgs[i].Treact)}
+	}
+	// A primed rank is already in memory: stream it from there rather than
+	// opening the source a second time.
+	cur := trace.SliceCursor(ops)
+	if !primed {
+		cur = src.Open(r)
+	}
+	for {
+		op, ok := cur.Next()
+		if !ok {
+			break
+		}
+		switch op.Kind {
+		case trace.OpCompute:
+			for i := range lanes {
+				lanes[i].t += op.Duration
+			}
+		case trace.OpCall:
+			for i := range lanes {
+				l := &lanes[i]
+				// The link is acquired at call entry: with no network, that
+				// is the only point a demand wake can be paid.
+				l.t = l.ctrl.Acquire(l.t + ov.Interception)
+				l.t = Step(l.p, l.ctrl, ov, EventID(op.Call), l.t, l.t)
+			}
+		}
+	}
+	if err := cur.Err(); err != nil {
+		return nil, err
+	}
+	for i, l := range lanes {
+		l.p.Flush()
+		l.ctrl.Finish(l.t)
+		out[i].Stats[r] = l.p.Stats()
+		out[i].Acct[r] = l.ctrl.Accounting()
+	}
+	return lanes, nil
 }
 
 // OverheadReport holds wall-clock measurements of the mechanism's software

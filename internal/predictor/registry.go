@@ -90,18 +90,35 @@ func MustNewNamed(name string, cfg Config) Predictor {
 // the only place a rank is materialized for lookahead; every other
 // predictor streams at O(window).
 func NewForRank(name string, cfg Config, src trace.Source, r int) (Predictor, error) {
-	p, err := NewNamed(name, cfg)
+	ps, _, _, err := newForRank(name, []Config{cfg}, src, r)
 	if err != nil {
 		return nil, err
 	}
-	if ta, ok := p.(TraceAware); ok {
-		ops, err := trace.RankOps(src, r)
-		if err != nil {
-			return nil, fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
+	return ps[0], nil
+}
+
+// newForRank is NewForRank for every config of cfgs. Trace-aware instances
+// are all primed from one materialization of the rank, returned with
+// primed set so the caller can stream the rank from it.
+func newForRank(name string, cfgs []Config, src trace.Source, r int) (ps []Predictor, ops []trace.Op, primed bool, err error) {
+	ps = make([]Predictor, len(cfgs))
+	for i, cfg := range cfgs {
+		if ps[i], err = NewNamed(name, cfg); err != nil {
+			return nil, nil, false, err
+		}
+		ta, ok := ps[i].(TraceAware)
+		if !ok {
+			continue
+		}
+		if !primed {
+			if ops, err = trace.RankOps(src, r); err != nil {
+				return nil, nil, false, fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
+			}
+			primed = true
 		}
 		ta.Prime(ops)
 	}
-	return p, nil
+	return ps, ops, primed, nil
 }
 
 func init() {

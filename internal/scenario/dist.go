@@ -30,20 +30,25 @@ type Dist interface {
 //	"normal:32:8"            normal with mean 32 and stddev 8, rounded
 //	"zipf:16:256" / ":1.5"   Zipf-ranked over [16, 256], exponent s > 1
 //
-// Draws are clamped to valid process counts by Spec.Generate, not here.
+// A distribution that could draw a size below 2, the smallest valid
+// process count, is rejected rather than run at a size the echoed spec
+// does not state. Only normal draws are unbounded; Spec.Generate clamps
+// them to 2.
 func ParseDist(s string) (Dist, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, fmt.Errorf("scenario: empty size distribution")
 	}
-	if v, err := strconv.Atoi(s); err == nil {
-		return fixedDist(v), nil
+	if _, err := strconv.Atoi(s); err == nil {
+		s = "fixed:" + s
 	}
 	kind, rest, _ := strings.Cut(s, ":")
 	parts := []string{}
 	if rest != "" {
 		parts = strings.Split(rest, ":")
 	}
+	var d Dist
+	least := 2 // the smallest size d can draw
 	switch kind {
 	case "fixed":
 		if len(parts) != 1 {
@@ -53,7 +58,7 @@ func ParseDist(s string) (Dist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: fixed value %q is not an integer", parts[0])
 		}
-		return fixedDist(v), nil
+		d, least = fixedDist(v), v
 	case "uniform":
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("scenario: uniform distribution wants lo:hi, got %q", s)
@@ -69,12 +74,12 @@ func ParseDist(s string) (Dist, error) {
 		if hi-lo > maxDistRange {
 			return nil, fmt.Errorf("scenario: uniform range %d exceeds %d", hi-lo, maxDistRange)
 		}
-		return uniformDist{lo: lo, hi: hi}, nil
+		d, least = uniformDist{lo: lo, hi: hi}, lo
 	case "choices":
 		if len(parts) == 0 {
 			return nil, fmt.Errorf("scenario: choices distribution wants v@w entries, got %q", s)
 		}
-		d := choicesDist{}
+		c := choicesDist{}
 		for _, p := range parts {
 			vs, ws, hasW := strings.Cut(p, "@")
 			v, err := strconv.Atoi(vs)
@@ -88,13 +93,14 @@ func ParseDist(s string) (Dist, error) {
 					return nil, fmt.Errorf("scenario: choice weight %q must be a positive number", ws)
 				}
 			}
-			d.values = append(d.values, v)
-			d.cum = append(d.cum, w)
+			c.values = append(c.values, v)
+			c.cum = append(c.cum, w)
+			least = min(least, v)
 		}
-		for i := 1; i < len(d.cum); i++ {
-			d.cum[i] += d.cum[i-1]
+		for i := 1; i < len(c.cum); i++ {
+			c.cum[i] += c.cum[i-1]
 		}
-		return d, nil
+		d = c
 	case "normal":
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("scenario: normal distribution wants mean:stddev, got %q", s)
@@ -105,7 +111,7 @@ func ParseDist(s string) (Dist, error) {
 			math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(sd, 0) || math.IsNaN(sd) {
 			return nil, fmt.Errorf("scenario: normal parameters %q must be numbers with stddev >= 0", rest)
 		}
-		return normalDist{mean: mean, sd: sd}, nil
+		d = normalDist{mean: mean, sd: sd}
 	case "zipf":
 		if len(parts) != 2 && len(parts) != 3 {
 			return nil, fmt.Errorf("scenario: zipf distribution wants min:max[:s], got %q", s)
@@ -129,9 +135,14 @@ func ParseDist(s string) (Dist, error) {
 				return nil, fmt.Errorf("scenario: zipf exponent %q must be a number > 1", parts[2])
 			}
 		}
-		return newZipfDist(lo, hi, exp), nil
+		d, least = newZipfDist(lo, hi, exp), lo
+	default:
+		return nil, fmt.Errorf("scenario: unknown size distribution %q (want fixed, uniform, choices, normal, or zipf)", kind)
 	}
-	return nil, fmt.Errorf("scenario: unknown size distribution %q (want fixed, uniform, choices, normal, or zipf)", kind)
+	if least < 2 {
+		return nil, fmt.Errorf("scenario: job size %d below the minimum of 2 processes", least)
+	}
+	return d, nil
 }
 
 type fixedDist int

@@ -84,16 +84,17 @@ func TestDistSupport(t *testing.T) {
 // TestZipfRankFrequency pins the power-law shape: over 10k draws the
 // frequency of rank r must be non-increasing at geometrically spaced ranks
 // (0, 1, 3, 7, 15, 31, 63), and the head rank must dominate — for s = 1.5
-// over 64 values, rank 0 alone carries ~42% of the mass.
+// over 64 values, rank 0 (size 2, the smallest valid one) alone carries
+// ~42% of the mass.
 func TestZipfRankFrequency(t *testing.T) {
-	d, err := ParseDist("zipf:1:64")
+	d, err := ParseDist("zipf:2:65")
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 64)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < statDraws; i++ {
-		counts[d.Draw(r)-1]++
+		counts[d.Draw(r)-2]++
 	}
 	ranks := []int{0, 1, 3, 7, 15, 31, 63}
 	for i := 1; i < len(ranks); i++ {

@@ -236,8 +236,8 @@ func (s Spec) String() string {
 
 // Generate expands the spec into its arrival stream: per job, an
 // inter-arrival gap (the first job arrives at time 0), an application drawn
-// uniformly, and a size drawn from the distribution, clamped to at least 2
-// ranks. One seeded RNG drives all three in a fixed order, so the stream is
+// uniformly, and a size drawn from the distribution (only a normal draw can
+// fall below 2 ranks; it is clamped to 2). One seeded RNG drives all three in a fixed order, so the stream is
 // a pure function of the spec.
 func (s Spec) Generate() ([]multijob.Arrival, error) {
 	if err := s.Validate(); err != nil {

@@ -96,6 +96,15 @@ func TestSpecErrors(t *testing.T) {
 		"size=choices:4@-1":    "must be a positive number",
 		"size=normal:a:b":      "must be numbers",
 		"size=zipf:4:8:0.5":    "must be a number > 1",
+		"size=0":               "size 0 below the minimum of 2",
+		"size=-4":              "size -4 below the minimum of 2",
+		"size=fixed:1":         "size 1 below the minimum of 2",
+		"size=uniform:1:8":     "size 1 below the minimum of 2",
+		"size=uniform:-5:-1":   "size -5 below the minimum of 2",
+		"size=choices:9@3:1@1": "size 1 below the minimum of 2",
+		"size=choices:8:0@2":   "size 0 below the minimum of 2",
+		"size=zipf:1:64":       "size 1 below the minimum of 2",
+		"size=zipf:0:8:2":      "size 0 below the minimum of 2",
 		"arrival=poisson":      "wants kind:interval",
 		"arrival=poisson:0s":   "must be positive",
 		"arrival=later:1s":     "unknown arrival process",
@@ -144,6 +153,39 @@ func TestGenerateShape(t *testing.T) {
 		// normal:3:2 draws below 2 routinely; Generate must clamp.
 		if a.Job.NP < 2 {
 			t.Errorf("arrival %d has %d ranks, want >= 2", i, a.Job.NP)
+		}
+	}
+}
+
+// TestEchoedSizesMatchJobs asserts the sizes the echoed spec states are
+// the sizes the jobs run at: a fixed size is every job's size, and every
+// bounded distribution's draws stay inside the bounds it echoes.
+func TestEchoedSizesMatchJobs(t *testing.T) {
+	for in, want := range map[string]struct {
+		echo   string
+		lo, hi int
+	}{
+		"jobs=8,size=fixed:2,seed=1":          {"size=2,", 2, 2},
+		"jobs=8,size=7,seed=1":                {"size=7,", 7, 7},
+		"jobs=32,size=uniform:2:5,seed=1":     {"size=uniform:2:5,", 2, 5},
+		"jobs=32,size=choices:2@1:9@1,seed=1": {"size=choices:2@1:9@1,", 2, 9},
+		"jobs=32,size=zipf:2:6,seed=1":        {"size=zipf:2:6,", 2, 6},
+	} {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if echo := spec.String(); !strings.Contains(echo, want.echo) {
+			t.Errorf("%s: echoed %q, want it to state %q", in, echo, want.echo)
+		}
+		arrivals, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arrivals {
+			if a.Job.NP < want.lo || a.Job.NP > want.hi {
+				t.Errorf("%s: job %d ran at %d ranks, outside the echoed [%d, %d]", in, i, a.Job.NP, want.lo, want.hi)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 const us = time.Microsecond
@@ -309,5 +310,15 @@ func TestLinkStateString(t *testing.T) {
 	}
 	if LinkState(9).String() != "?" {
 		t.Error("unknown state label")
+	}
+}
+
+// TestOpLayout pins the packed Op layout: the one-byte Kind and Call sit
+// together after the word-sized fields, so an Op is 48 bytes, not the 56
+// that padding each of them to a word would cost. Every trace in memory
+// scales with this size.
+func TestOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 48", got)
 	}
 }

@@ -1,19 +1,16 @@
 package workloads
 
-import (
-	"fmt"
-
-	"ibpower/internal/trace"
-)
+import "ibpower/internal/trace"
 
 // genSource streams a generated workload without ever materializing the full
 // trace: each Open re-runs the generator restricted to the requested rank.
 // The restriction is exact (see Options.only), so the streamed ops are
-// bit-identical to the corresponding rank of Generate's trace — at the cost
-// of re-running the generator's structure loop per rank. That trade is right
-// when ranks are consumed one at a time (packing a trace file, offline
-// grouping-threshold runs); consumers that replay all ranks concurrently
-// keep using Generate.
+// bit-identical to the corresponding rank of Generate's trace. Each Open
+// costs one run of the generator's structure loop plus that rank's ops,
+// allocated once at their exact length (NewSource counts the rounds once).
+// That trade is right when ranks are consumed one at a time (packing a
+// trace file); consumers that replay all ranks concurrently or read every
+// rank more than once keep using Generate.
 type genSource struct {
 	app string
 	np  int
@@ -24,21 +21,20 @@ type genSource struct {
 // NewSource returns a streaming trace.Source for a registered application:
 // O(one rank) memory per open cursor instead of O(trace).
 func NewSource(app string, np int, opt Options) (trace.Source, error) {
-	g, ok := registry[app]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
-	}
-	if np < 2 {
-		return nil, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
+	g, opt, err := presized(app, np, opt)
+	if err != nil {
+		return nil, err
 	}
 	return &genSource{app: app, np: np, opt: opt, gen: g}, nil
 }
 
 func (s *genSource) Meta() trace.Meta { return trace.Meta{App: s.app, NP: s.np} }
 
-func (s *genSource) Open(r int) trace.Cursor {
+func (s *genSource) Open(r int) trace.Cursor { return trace.SliceCursor(s.rank(r)) }
+
+// rank generates rank r's stream alone.
+func (s *genSource) rank(r int) []trace.Op {
 	opt := s.opt
 	opt.only = r + 1
-	tr := s.gen(s.np, opt)
-	return trace.SliceCursor(tr.Ranks[r])
+	return s.gen(s.np, opt).Ranks[r]
 }

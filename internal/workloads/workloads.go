@@ -55,6 +55,14 @@ type Options struct {
 	// per-rank timing draws from jit[r], seeded independently per rank — so
 	// rank r of a filtered build is identical to rank r of a full build.
 	only int
+
+	// Presizing, set only by presized and unexported for the same reason.
+	// Every builder round appends exactly one op to every emitted rank, so
+	// a dry run (count set) emits no rank and counts the rounds into
+	// *count; a real run given that count as rounds allocates each emitted
+	// rank stream once, at its exact final length.
+	count  *int
+	rounds int
 }
 
 func (o Options) seed() int64 {
@@ -99,14 +107,29 @@ func Apps() []string {
 
 // Generate builds the trace for a registered application.
 func Generate(app string, np int, opt Options) (*trace.Trace, error) {
-	g, ok := registry[app]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
-	}
-	if np < 2 {
-		return nil, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
+	g, opt, err := presized(app, np, opt)
+	if err != nil {
+		return nil, err
 	}
 	return g(np, opt), nil
+}
+
+// presized resolves app's generator, checks np, and sets opt.rounds from a
+// dry run. The dry run draws the shared structure rng exactly as a real run
+// does and makes no per-rank jitter source, so it costs one pass of the
+// structure loop.
+func presized(app string, np int, opt Options) (Generator, Options, error) {
+	g, ok := registry[app]
+	if !ok {
+		return nil, opt, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
+	}
+	if np < 2 {
+		return nil, opt, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
+	}
+	dry := opt
+	dry.count = &opt.rounds
+	g(np, dry)
+	return g, opt, nil
 }
 
 // ProcCounts returns the process counts the paper evaluates for app:
@@ -131,6 +154,7 @@ type builder struct {
 	jit   []*rand.Rand  // per-rank compute jitter
 	sigma float64       // relative jitter std deviation
 	noise time.Duration // absolute per-burst noise floor (OS noise): does not shrink with problem size
+	count *int          // rounds so far, one op per emitted rank each (Options.count in a dry run)
 }
 
 func newBuilder(app string, np int, opt Options, sigma float64, noise time.Duration) *builder {
@@ -148,7 +172,13 @@ func newBuilder(app string, np int, opt Options, sigma float64, noise time.Durat
 	if opt.only > 0 {
 		b.lo, b.hi = opt.only-1, opt.only
 	}
+	if b.count = opt.count; b.count != nil {
+		b.lo, b.hi = 0, 0
+	} else {
+		b.count = new(int)
+	}
 	for r := b.lo; r < b.hi; r++ {
+		b.tr.Ranks[r] = make([]trace.Op, 0, opt.rounds)
 		b.jit[r] = rand.New(rand.NewSource(opt.seed()*7919 + int64(r)*104729 + 13))
 	}
 	return b
@@ -192,6 +222,7 @@ func clamp(x, lo, hi float64) float64 {
 
 // computeAll appends a jittered compute burst of mean d to every rank.
 func (b *builder) computeAll(d time.Duration) {
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		b.tr.Append(r, trace.Compute(b.jitter(r, d)))
 	}
@@ -200,6 +231,7 @@ func (b *builder) computeAll(d time.Duration) {
 // ringExchange appends a ring sendrecv: every rank sends to (r+off) and
 // receives from (r-off).
 func (b *builder) ringExchange(off, bytes int) {
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		to := (r + off) % b.np
 		from := (r - off%b.np + b.np) % b.np
@@ -209,6 +241,7 @@ func (b *builder) ringExchange(off, bytes int) {
 
 // allreduce appends an allreduce on every rank.
 func (b *builder) allreduce(bytes int) {
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		b.tr.Append(r, trace.Allreduce(bytes))
 	}
@@ -216,6 +249,7 @@ func (b *builder) allreduce(bytes int) {
 
 // barrier appends a barrier on every rank.
 func (b *builder) barrier() {
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		b.tr.Append(r, trace.Barrier())
 	}
@@ -223,6 +257,7 @@ func (b *builder) barrier() {
 
 // bcast appends a broadcast from root.
 func (b *builder) bcast(root, bytes int) {
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		b.tr.Append(r, trace.Bcast(root, bytes))
 	}
@@ -292,6 +327,7 @@ func (b *builder) initPhase(setup time.Duration) {
 // finalizePhase emits a reduction of results and a final barrier.
 func (b *builder) finalizePhase(teardown time.Duration) {
 	b.computeAll(teardown)
+	*b.count++
 	for r := b.lo; r < b.hi; r++ {
 		b.tr.Append(r, trace.Reduce(0, 1<<13))
 	}
