@@ -245,7 +245,7 @@ func BenchmarkAblationNetFidelity(b *testing.B) {
 }
 
 // BenchmarkAblationOracleVsPPA bounds the prediction loss: the oracle knows
-// every idle interval exactly. Both run on the same offline driver with the
+// every idle interval exactly. Both run on the same offline runner with the
 // same overhead model, so the gap between them is prediction alone.
 func BenchmarkAblationOracleVsPPA(b *testing.B) {
 	tr, err := workloads.Generate("nasbt", 16, benchOpt)

@@ -87,7 +87,7 @@ func gridConfigs() []predictor.Config {
 	return cfgs
 }
 
-// TestOfflineGridMatchesOneConfigRuns is the grid driver's differential
+// TestOfflineGridMatchesOneConfigRuns is the grid runner's differential
 // test: for every registered predictor, trace-aware ones included, on an
 // in-memory and a packed source and at every pool size, each config's
 // result of the one-pass grid equals an independent one-config run.
